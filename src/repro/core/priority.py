@@ -53,6 +53,15 @@ class PriorityStructure:
         self._check(function_id)
         self._counts[function_id] += 1
 
+    def record_downgrades(self, function_ids: np.ndarray, n: np.ndarray) -> None:
+        """Batched Alg. 2 line 10: +``n[i]`` for ``function_ids[i]`` —
+        the same counts as ``n[i]`` calls of :meth:`record_downgrade`."""
+        fids = np.asarray(function_ids, dtype=np.int64)
+        bad = fids[(fids < 0) | (fids >= len(self._counts))]
+        if bad.size:
+            self._check(int(bad[0]))
+        np.add.at(self._counts, fids, n)
+
     def count(self, function_id: int) -> int:
         self._check(function_id)
         return int(self._counts[function_id])

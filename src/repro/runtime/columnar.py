@@ -11,8 +11,9 @@ best-effort goal. Three properties make it achievable:
 - **Canonical memory evaluation.** :class:`KeepAliveSchedule` evaluates a
   minute's keep-alive memory as counts × footprints in ascending-footprint
   order. :class:`RingSchedule` maintains the same integer counts (as a
-  ``(ring column, footprint slot)`` matrix) and folds them in the same
-  slot order, so both reach the same float bit-for-bit.
+  ``(ring column, footprint slot)`` matrix), and :func:`fold_memory`
+  folds count rows in the same slot order, so both reach the same float
+  bit-for-bit.
 - **Elementwise-identical float expressions.** Every float the reference
   computes per function (probabilities, utility values, service-time
   contributions) is a short expression over scalars; evaluating the same
@@ -41,6 +42,7 @@ __all__ = [
     "ColumnarEstimator",
     "RingSchedule",
     "VariantTables",
+    "fold_memory",
     "seq_fold",
 ]
 
@@ -59,6 +61,22 @@ def seq_fold(acc: float, values: np.ndarray) -> float:
     if values.size == 0:
         return acc
     return float(np.cumsum(np.concatenate(((acc,), values)))[-1])
+
+
+def fold_memory(counts: np.ndarray, slot_fps: list[float]) -> np.ndarray:
+    """Keep-alive memory of each row of a ``(k, n_slots)`` count matrix.
+
+    The one canonical fold of the fleet engine: slot by slot in
+    ascending-footprint order (``slot_fps``), ``acc += count * footprint``
+    — the same float operations :meth:`KeepAliveSchedule.memory_at`
+    performs per minute, vectorized over the ``k`` rows. ``cumsum`` adds
+    sequentially along the slot axis (see :func:`seq_fold`), starting
+    from the first term, which equals ``0.0 + term``. Empty slots add
+    ``0.0``, which leaves a non-negative accumulator unchanged, so
+    folding every slot equals folding only the occupied ones. Pinned
+    against the schedule by a unit test in ``tests/test_engine_fleet.py``.
+    """
+    return np.cumsum(counts * np.asarray(slot_fps), axis=1)[:, -1]
 
 
 class VariantTables:
@@ -372,22 +390,32 @@ class RingSchedule:
             )
         self.levels[lfids[:, None], cols[None, :]] = plan_levels.astype(np.int8)
 
-    def downgrade(self, lfid: int, minute: int, allow_drop: bool) -> None:
-        """Downgrade every entry of one function from ``minute`` on by one
-        level; entries already at level 0 are dropped when ``allow_drop``
-        (the schedule-layer semantics of ``KeepAliveSchedule.downgrade``).
+    def downgrade(
+        self,
+        lfids: np.ndarray,
+        n: np.ndarray | int,
+        minute: int,
+        allow_drop: np.ndarray | bool,
+    ) -> None:
+        """Apply ``n[i]`` successive one-level downgrades to every entry
+        of local fid ``lfids[i]`` from ``minute`` on (``lfids`` unique).
+
+        The schedule-layer semantics of ``n`` repeated
+        ``KeepAliveSchedule.downgrade`` calls: an entry at level ``l``
+        ends at ``l - n``; one that would go below level 0 is dropped
+        when its fid's ``allow_drop`` holds and stays at level 0
+        otherwise. Entries exist only for minutes ``minute .. minute +
+        K``, so every ring column is covered; each changed entry moves
+        one count between footprint slots.
         """
-        fam = int(self.fam[lfid])
-        slot_row = self.slot_of[fam]
-        for m in range(minute, minute + self.keep_alive_window + 1):
-            col = m % self.n_cols
-            level = int(self.levels[lfid, col])
-            if level < 0:
-                continue
-            if level > 0:
-                self.cnt[col, slot_row[level]] -= 1
-                self.cnt[col, slot_row[level - 1]] += 1
-                self.levels[lfid, col] = level - 1
-            elif allow_drop:
-                self.cnt[col, slot_row[0]] -= 1
-                self.levels[lfid, col] = -1
+        old = self.levels[lfids].astype(np.int64)  # (k, K+1)
+        lowered = old - np.reshape(n, (-1, 1))
+        floor = np.where(np.reshape(allow_drop, (-1, 1)), -1, 0)
+        new = np.where(old < 0, -1, np.maximum(lowered, floor))
+        rows, cols = np.nonzero(new != old)
+        fam = self.fam[lfids][rows]
+        np.add.at(self.cnt, (cols, self.slot_of[fam, old[rows, cols]]), -1)
+        kept = new[rows, cols]
+        up = kept >= 0
+        np.add.at(self.cnt, (cols[up], self.slot_of[fam[up], kept[up]]), 1)
+        self.levels[lfids] = new.astype(np.int8)

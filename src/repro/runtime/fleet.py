@@ -19,9 +19,10 @@ the per-minute cycle as array kernels:
 3. **reduce**: a single reducer merges the partials — integer adds for
    memory, fid-ordered concatenation for the alive set — and runs the
    *global* stages on the merged state: Algorithm 1 peak detection,
-   Algorithm 2 lowest-utility downgrades, and the provider capacity
-   valve. Victim decisions flow back to the owning shard as scalar
-   schedule edits.
+   Algorithm 2 lowest-utility downgrades (victim order from one sort
+   of chained events, :class:`DowngradeBlocks`), and the provider
+   capacity valve. Victim decisions flow back to the owning shard as
+   array schedule edits (``n`` downgrades per fid).
 
 Because the merge is exact integer addition and fid-ordered
 concatenation, the reduced state is byte-identical for any shard count:
@@ -89,6 +90,7 @@ from repro.runtime.columnar import (
     ColumnarEstimator,
     RingSchedule,
     VariantTables,
+    fold_memory,
     seq_fold,
 )
 from repro.runtime.container import ContainerPool
@@ -393,9 +395,16 @@ class _Shard:
         ip, max_rem = self.est.ip_and_max_remaining(local, minute)
         return fids, levels, ip, max_rem
 
-    def apply_downgrade(self, fid: int, minute: int, allow_drop: bool) -> None:
-        """Reducer decision flowing back: downgrade one function."""
-        self.ring.downgrade(fid - self.lo, minute, allow_drop)
+    def apply_downgrades(
+        self,
+        fids: np.ndarray,
+        n: np.ndarray | int,
+        minute: int,
+        allow_drop: np.ndarray | bool,
+    ) -> None:
+        """Reducer decisions flowing back: downgrade each of this shard's
+        global ``fids`` ``n`` times (see :meth:`RingSchedule.downgrade`)."""
+        self.ring.downgrade(fids - self.lo, n, minute, allow_drop)
 
     def level_at(self, fid: int, minute: int) -> int:
         return int(self.ring.levels[fid - self.lo, minute % self.ring.n_cols])
@@ -405,6 +414,178 @@ class _Shard:
         if level < 0:
             return None
         return self.tables.variant(int(self.fam[fid - self.lo]), level)
+
+
+# -- reduce: Algorithm 2 in blocks --------------------------------------------
+
+
+class DowngradeBlocks:
+    """Algorithm 2's victim sequence at one peak minute, in blocks.
+
+    The argmin loop — score every kept-alive model's ``Uv = Ai + Pr +
+    Ip``, downgrade the eligible minimum (ties: lowest alive index, i.e.
+    lowest fid), repeat until memory is under the flatten target — is
+    evaluated without one argmin per victim. Between Eq. 1 shifts
+    (``vmin``/``vmax`` of the downgrade counts fixed) a row's successive
+    downgrades form a *chain* of ``level + (max_rem == 0)`` pop events
+    whose keys ``w_ai·ai[fam, level-j] + w_pr·pr(count+j) + t_ip`` are
+    all known up front. Popping the minimum head of every chain pops the
+    events in ``(e, row, j)`` order, ``e`` being the running max of the
+    key along the chain: an event whose key sits below an earlier one
+    of its chain is popped right after that earlier event, since nothing
+    else is lower then. So one stable sort of the flattened ``(row, j)``
+    grid by ``e`` is the victim order (``docs/architecture.md``,
+    "Algorithm 2 in blocks", sketches the proof).
+
+    Iterating yields ``(rows, from_levels)`` blocks of that order. A
+    block ends at the first of: the event whose prefix memory — a
+    vectorized fold of cumulative slot-count deltas, bit-identical to
+    :meth:`FleetShards.memory_at` — is at or under ``target`` (the
+    review is then done); the event that raises ``vmax`` or exhausts
+    the rows at ``vmin`` (keys are re-sorted under the new Eq. 1
+    normalization); the end of a :attr:`chunk`; and just before a
+    ``stop`` row, so a stop row always heads its block. While a block is
+    held, the attributes describe the state before its first pick —
+    what :meth:`FleetShards._candidate_table` snapshots.
+
+    ``counts`` are the full-fleet downgrade counts (Eq. 1 normalizes
+    over every function, not only the alive ones); ``mem_row`` is the
+    merged slot-count row of the minute and ``memory`` its fold.
+    """
+
+    #: Events folded per prefix-memory chunk — bounds the ``(chunk,
+    #: n_slots)`` count matrices of :meth:`_prefix` however many victims
+    #: a peak minute takes.
+    chunk = 2048
+
+    def __init__(
+        self,
+        tables: VariantTables,
+        weights: UtilityWeights,
+        alive: np.ndarray,
+        levels: np.ndarray,
+        ip: np.ndarray,
+        max_rem: np.ndarray,
+        counts: np.ndarray,
+        mem_row: np.ndarray,
+        memory: float,
+        target: float,
+        stop: np.ndarray | None = None,
+    ):
+        self.tables = tables
+        self.weights = weights
+        self.alive = alive
+        self.fam = tables.fam_idx[alive]
+        self.levels = levels.astype(np.int64)  # −1 once dropped
+        self.ip = ip
+        self.max_rem = max_rem
+        self.t_ip = weights.invocation_probability * ip
+        self.counts = counts.astype(float)
+        self.counts_alive = self.counts[alive]
+        self.vmin = float(self.counts.min())
+        self.vmax = float(self.counts.max())
+        self.n_at_min = int((self.counts == self.vmin).sum())
+        self.mem_row = mem_row.astype(np.int64)
+        self.memory = memory
+        self.target = target
+        self.stop = stop
+
+    def eligible(self) -> np.ndarray:
+        """Rows that may be picked: not a lowest variant with remaining
+        invocation mass (PULSE's drop protection)."""
+        return ~((self.levels == 0) & (self.max_rem > 0.0))
+
+    def _sorted_events(self) -> tuple[np.ndarray, ...]:
+        """Every remaining chain event as ``(row, from_level, count
+        before)``, in pick order under the current ``vmin``/``vmax``."""
+        levels = self.levels
+        chain = np.where(levels < 0, 0, levels + (self.max_rem == 0.0))
+        rows = np.flatnonzero(chain)
+        if rows.size == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, np.empty(0)
+        j = np.arange(int(chain[rows].max()))
+        lv = levels[rows, None] - j
+        valid = j < chain[rows, None]
+        cnt = self.counts_alive[rows, None] + j
+        # The loop's float expression, (w_ai·ai + w_pr·pr) + t_ip, per
+        # event — evaluated in place to keep the grid's footprint small.
+        w = self.weights
+        key = self.tables.ai[self.fam[rows, None], np.maximum(lv, 0)]
+        key *= w.accuracy_improvement
+        pr = cnt - self.vmin
+        if self.vmax != self.vmin:
+            pr /= self.vmax - self.vmin
+        pr *= w.priority
+        key += pr
+        key += self.t_ip[rows, None]
+        np.maximum.accumulate(key, axis=1, out=key)
+        e = key[valid]
+        # The grid flattens in (row, j) order, so a stable sort on e
+        # alone yields the (e, row, j) order.
+        order = np.argsort(e, kind="stable")
+        ev_rows = np.broadcast_to(rows[:, None], lv.shape)[valid]
+        return ev_rows[order], lv[valid][order], cnt[valid][order]
+
+    def _prefix(
+        self, rows: np.ndarray, from_levels: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Slot counts and folded memory after each prefix of ``rows``."""
+        slot_of = self.tables.slot_of
+        fam = self.fam[rows]
+        k = rows.size
+        delta = np.zeros((k, self.mem_row.size), dtype=np.int64)
+        at = np.arange(k)
+        delta[at, slot_of[fam, from_levels]] = -1
+        down = from_levels > 0
+        delta[at[down], slot_of[fam[down], from_levels[down] - 1]] += 1
+        counts = np.cumsum(delta, axis=0)
+        counts += self.mem_row
+        return counts, fold_memory(counts, self.tables.slot_fps)
+
+    def __iter__(self):
+        resort = True
+        while self.memory > self.target:
+            if resort:
+                rows, lvs, cnts = self._sorted_events()
+                pos, resort = 0, False
+            if pos == rows.size:
+                return  # every candidate is dropped or protected
+            r = rows[pos : pos + self.chunk]
+            lv = lvs[pos : pos + self.chunk]
+            c = cnts[pos : pos + self.chunk]
+            cut = r.size
+            if self.stop is not None:
+                later = np.flatnonzero(self.stop[r[1:]])
+                if later.size:
+                    cut = int(later[0]) + 1
+            # Eq. 1 shifts: the event that raises vmax or empties the
+            # vmin tier is the block's last under this normalization.
+            shift = np.flatnonzero(
+                (c[:cut] + 1.0 > self.vmax)
+                | (np.cumsum(c[:cut] == self.vmin) == self.n_at_min)
+            )
+            if shift.size:
+                cut = int(shift[0]) + 1
+                resort = True
+            slot_counts, memory = self._prefix(r[:cut], lv[:cut])
+            under = np.flatnonzero(memory <= self.target)
+            if under.size:
+                cut = int(under[0]) + 1
+            r, lv, c = r[:cut], lv[:cut], c[:cut]
+            yield r, lv
+            self.mem_row = slot_counts[cut - 1]
+            self.memory = float(memory[cut - 1])
+            n = np.bincount(r, minlength=self.alive.size)
+            self.levels -= n
+            self.counts_alive += n
+            self.counts[self.alive] = self.counts_alive
+            self.vmax = max(self.vmax, float(c.max()) + 1.0)
+            self.n_at_min -= int((c == self.vmin).sum())
+            if self.n_at_min == 0:
+                self.vmin = float(self.counts.min())
+                self.n_at_min = int((self.counts == self.vmin).sum())
+            pos += cut
 
 
 class FleetShards:
@@ -479,18 +660,20 @@ class FleetShards:
         return np.concatenate(([0], cuts))
 
     # -- reduce: merged memory ---------------------------------------------
-    def memory_at(self, minute: int) -> float:
-        """The fleet's keep-alive memory at ``minute`` — the canonical
-        counts × footprints fold over the shard partials, bit-identical
-        to ``KeepAliveSchedule.memory_at``."""
+    def merged_counts(self, minute: int) -> np.ndarray:
+        """The fleet's per-footprint-slot entry counts at ``minute`` —
+        the shard partials summed (exact integer addition)."""
         merged = self.shards[0].publish_memory(minute)
         for shard in self.shards[1:]:
             merged = merged + shard.publish_memory(minute)
-        total = 0.0
-        fps = self.tables.slot_fps
-        for slot in np.flatnonzero(merged).tolist():
-            total += int(merged[slot]) * fps[slot]
-        return total
+        return merged
+
+    def memory_at(self, minute: int) -> float:
+        """The fleet's keep-alive memory at ``minute`` — the canonical
+        :func:`~repro.runtime.columnar.fold_memory` of the merged counts,
+        bit-identical to ``KeepAliveSchedule.memory_at``."""
+        merged = self.merged_counts(minute)
+        return float(fold_memory(merged[None, :], self.tables.slot_fps)[0])
 
     def alive_fids(self, minute: int) -> np.ndarray:
         """Global alive set at ``minute``, fid-ascending (valve input)."""
@@ -507,9 +690,11 @@ class FleetShards:
         """The global optimizer's per-minute review on merged state.
 
         Mirrors ``GlobalOptimizer.review``: detect a peak against the
-        prior (Algorithm 1), then repeatedly score every kept-alive
-        model's ``Uv = Ai + Pr + Ip`` and downgrade the minimum
-        (Algorithm 2) until demand is back under the flatten target;
+        prior (Algorithm 1), then downgrade the lowest-``Uv = Ai + Pr +
+        Ip`` model one at a time (Algorithm 2) until demand is back
+        under the flatten target — the victim order comes from
+        :class:`DowngradeBlocks`, and the victims' total downgrades are
+        applied to the owning shards and the priority structure once;
         always feed the detector demand + committed memory. ``obs``
         tallies peaks/downgrades, times the ``reduce/peak-flatten`` and
         ``reduce/downgrade`` phases, and — for sampled victims — records
@@ -521,7 +706,8 @@ class FleetShards:
         assert isinstance(model, _PulseModel)
         rec = obs if obs is not None and obs.decisions_enabled else None
         spans = obs.spans if obs is not None and obs.spans_enabled else None
-        demand = self.memory_at(minute)
+        mem_row = self.merged_counts(minute)
+        demand = float(fold_memory(mem_row[None, :], self.tables.slot_fps)[0])
         prior = detector.prior_memory()
         current = demand
         if detector.is_peak(demand, prior):
@@ -536,145 +722,87 @@ class FleetShards:
             levels = np.concatenate([p[1] for p in parts])
             ip = np.minimum(np.concatenate([p[2] for p in parts]), 1.0)
             max_rem = np.concatenate([p[3] for p in parts])
-            fam = self.tables.fam_idx[alive]
-            weights = model.weights
-            w_ai = weights.accuracy_improvement
-            w_pr = weights.priority
-            # Alg. 2 lines 4–9 on the merged table: per-iteration
-            # re-normalization, constant-within-minute Ip/max-rem,
-            # protection for lowest variants with remaining mass. A naive
-            # transliteration rebuilds every utility term over all n
-            # functions per victim, which goes quadratic exactly when the
-            # valve/peak regime produces many victims per minute; instead
-            # each per-element term is maintained incrementally (only the
-            # victim's entry changes between iterations) and Eq. 1's
-            # min/max are tracked against a full-count mirror so the
-            # normalization stays bit-identical to
-            # ``PriorityStructure.normalized()[alive]``.
-            counts = priority.counts.astype(float)
-            counts_alive = counts[alive]
-            vmin = float(counts.min())
-            vmax = float(counts.max())
-            n_at_min = int((counts == vmin).sum())
-            t_ai = w_ai * self.tables.ai[fam, levels]
-            t_ip = weights.invocation_probability * ip
-            eligible = ~((levels == 0) & (max_rem > 0.0))
-            # Only the victim's utility entry moves between iterations
-            # unless Eq. 1's min/max shift (rare: the global floor or
-            # ceiling of the downgrade counts must move), so the masked
-            # utility array is patched in place and rebuilt only then.
-            rebuild = True
-            uv_masked = np.empty(0)
+            sample_mask = rec.sample_mask if rec is not None else None
+            blocks = DowngradeBlocks(
+                self.tables, model.weights, alive, levels, ip, max_rem,
+                priority.counts, mem_row, demand, target,
+                stop=sample_mask[alive] if sample_mask is not None else None,
+            )
             if spans is not None:
                 t_downgrade = time.perf_counter()
                 spans.add("reduce/peak-flatten", t_downgrade - t_flatten)
-            # Per-victim obs cost must stay O(1) attribute reads — a
-            # hook call per downgrade is what the columnar session
-            # exists to avoid — so the tally is accumulated locally and
-            # folded once per review, and the sample test reads the
-            # mask directly.
-            sample_mask = rec.sample_mask if rec is not None else None
-            n_tallied = 0
-            while current > target and alive.size:
-                if rebuild:
-                    if vmax == vmin:
-                        pr = counts_alive - vmin
-                    else:
-                        pr = (counts_alive - vmin) / (vmax - vmin)
-                    # np.inf masking picks the first eligible minimum —
-                    # the same element flatnonzero+argmin over the
-                    # eligible subset picks.
-                    uv_masked = np.where(
-                        eligible, t_ai + w_pr * pr + t_ip, np.inf
+            for rows, from_levels in blocks:
+                if events is not None or (
+                    sample_mask is not None and blocks.stop[rows[0]]
+                ):
+                    self._emit_block(
+                        minute, blocks, rows, from_levels, events, rec
                     )
-                    rebuild = False
-                pick = int(np.argmin(uv_masked))
-                if np.isinf(uv_masked[pick]):
-                    break  # every candidate is a protected lowest variant
-                victim = int(alive[pick])
-                allow_drop = bool(max_rem[pick] == 0.0)
-                victim_rec = (
-                    rec
-                    if sample_mask is not None and sample_mask[victim]
-                    else None
-                )
-                record = events is not None or victim_rec is not None
-                if record:
-                    new_level = int(levels[pick]) - 1
-                    from_name = self.tables.variant(
-                        int(fam[pick]), int(levels[pick])
-                    ).name
-                    to_name = (
-                        self.tables.variant(int(fam[pick]), new_level).name
-                        if new_level >= 0
-                        else None
-                    )
-                    # The candidate table snapshots the scores that chose
-                    # this victim, so it is built before the priority
-                    # bookkeeping below perturbs Eq. 1's normalization.
-                    cand = (
-                        self._candidate_table(
-                            alive, levels, fam, ip, counts_alive,
-                            vmin, vmax, eligible, model.weights,
+            n = levels - blocks.levels
+            hit = np.flatnonzero(n)
+            if hit.size:
+                fids = alive[hit]
+                allow_drop = max_rem[hit] == 0.0
+                offsets = self.split(fids)
+                for i, shard in enumerate(self.shards):
+                    a, b = int(offsets[i]), int(offsets[i + 1])
+                    if a < b:
+                        shard.apply_downgrades(
+                            fids[a:b], n[hit[a:b]], minute, allow_drop[a:b]
                         )
-                        if victim_rec is not None
-                        else None
-                    )
-                self.shard_for(victim).apply_downgrade(
-                    victim, minute, allow_drop
-                )
-                priority.record_downgrade(victim)
-                new_count = counts[victim] + 1.0
-                counts[victim] = new_count
-                counts_alive[pick] = new_count
-                if new_count > vmax:
-                    vmax = new_count
-                    rebuild = True
-                if new_count - 1.0 == vmin:
-                    n_at_min -= 1
-                    if n_at_min == 0:  # rare: the global floor moved up
-                        vmin = float(counts.min())
-                        n_at_min = int((counts == vmin).sum())
-                        rebuild = True
-                self.n_downgrades += 1
-                n_tallied += 1
-                if record:
-                    emit_downgrade(
-                        minute, victim, from_name, to_name, events,
-                        victim_rec, candidates=cand,
-                    )
-                if levels[pick] > 0:
-                    levels[pick] -= 1
-                    t_ai[pick] = w_ai * self.tables.ai[fam[pick], levels[pick]]
-                    eligible[pick] = not (
-                        levels[pick] == 0 and max_rem[pick] > 0.0
-                    )
-                    if not rebuild:
-                        if vmax == vmin:
-                            pr_pick = counts_alive[pick] - vmin
-                        else:
-                            pr_pick = (counts_alive[pick] - vmin) / (
-                                vmax - vmin
-                            )
-                        uv_masked[pick] = (
-                            t_ai[pick] + w_pr * pr_pick + t_ip[pick]
-                            if eligible[pick]
-                            else np.inf
-                        )
-                else:
-                    keep = np.arange(alive.size) != pick
-                    alive, levels, ip = alive[keep], levels[keep], ip[keep]
-                    max_rem, fam = max_rem[keep], fam[keep]
-                    counts_alive, t_ai = counts_alive[keep], t_ai[keep]
-                    t_ip, eligible = t_ip[keep], eligible[keep]
-                    if not rebuild:
-                        uv_masked = uv_masked[keep]
-                current = self.memory_at(minute)
-            if obs is not None and n_tallied:
-                obs.tally_downgrade(minute, n_tallied)
+                # repro: lint-ok[RPR002] Alg. 2 line 10 bookkeeping on the
+                # PriorityStructure, not an obs hook; the loop engines make
+                # the same update through GlobalOptimizer.review
+                priority.record_downgrades(fids, n[hit])
+                total = int(n.sum())
+                self.n_downgrades += total
+                if obs is not None:
+                    obs.tally_downgrade(minute, total)
+            current = blocks.memory
             if spans is not None:
                 spans.add("reduce/downgrade", time.perf_counter() - t_downgrade)
         detector.observe(demand, current)
+
+    def _emit_block(
+        self,
+        minute: int,
+        blocks: DowngradeBlocks,
+        rows: np.ndarray,
+        from_levels: np.ndarray,
+        events: EventLog | None,
+        rec: FleetObsSession | None,
+    ) -> None:
+        """Telemetry for one block of Algorithm 2 victims, in pick order:
+        a DOWNGRADE event per pick, and the decision record with the
+        scored candidate table for a sampled block head (only a head can
+        be sampled — ``DowngradeBlocks`` ends blocks before stop rows —
+        and the table is read while ``blocks`` still holds the pre-pick
+        state)."""
+        head_rec = rec if blocks.stop is not None and blocks.stop[rows[0]] else None
+        cand = None
+        if head_rec is not None:
+            keep = blocks.levels >= 0
+            cand = self._candidate_table(
+                blocks.alive[keep], blocks.levels[keep], blocks.fam[keep],
+                blocks.ip[keep], blocks.counts_alive[keep], blocks.vmin,
+                blocks.vmax, blocks.eligible()[keep], blocks.weights,
+            )
+        if events is None:
+            rows, from_levels = rows[:1], from_levels[:1]
+        tables = self.tables
+        # One emit per victim, as the reference engine emits them — only
+        # with an event log attached or for a sampled head.
+        for i, (row, level) in enumerate(zip(rows.tolist(), from_levels.tolist())):
+            fam = int(blocks.fam[row])
+            emit_downgrade(
+                minute,
+                int(blocks.alive[row]),
+                tables.variant(fam, level).name,
+                tables.variant(fam, level - 1).name if level > 0 else None,
+                events,
+                head_rec if i == 0 else None,
+                candidates=cand if i == 0 else None,
+            )
 
     def _candidate_table(
         self,
@@ -785,7 +913,7 @@ class FleetShards:
                     int(self.tables.fam_idx[victim]),
                     shard.level_at(victim, minute),
                 ).name
-            shard.apply_downgrade(victim, minute, allow_drop=True)
+            shard.apply_downgrades(np.array([victim]), 1, minute, True)
             forced += 1
             level = shard.level_at(victim, minute)
             if record:

@@ -73,3 +73,23 @@ class TestPriorityStructure:
             ps.record_downgrade(2)
         with pytest.raises(ValueError):
             PriorityStructure(0)
+
+    def test_record_downgrades_matches_repeated_record_downgrade(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n_fn = int(rng.integers(1, 12))
+            fids = rng.integers(0, n_fn, size=int(rng.integers(0, 10)))
+            n = rng.integers(0, 4, size=fids.size)
+            batched, scalar = PriorityStructure(n_fn), PriorityStructure(n_fn)
+            batched.record_downgrades(fids, n)
+            for fid, k in zip(fids.tolist(), n.tolist()):
+                for _ in range(k):
+                    scalar.record_downgrade(fid)
+            np.testing.assert_array_equal(batched.counts, scalar.counts)
+
+    def test_record_downgrades_bounds(self):
+        ps = PriorityStructure(3)
+        for bad in ([0, 3], [-1]):
+            with pytest.raises(IndexError):
+                ps.record_downgrades(np.array(bad), np.ones(len(bad), int))
+        np.testing.assert_array_equal(ps.counts, [0, 0, 0])
