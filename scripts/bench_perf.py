@@ -186,7 +186,6 @@ QUICK_SCALING_POINTS = [
     (12, 1440, ("fast", "fleet")),
     (1_000, 240, ("fleet",)),
 ]
-FLEET_SHARDS = 4
 # Obs-overhead points: fleet-engine obs-on vs obs-off at these
 # (n_functions, horizon_minutes) sizes; quick mode keeps only the first,
 # so 10k leads — that is the size the overhead budget is stated at (the
@@ -205,8 +204,7 @@ PER_POINT_TIMEOUT_S = 900.0
 
 
 def run_point(
-    n: int, horizon: int, engine: str, shards: int, repeats: int,
-    obs: bool = False,
+    n: int, horizon: int, engine: str, repeats: int, obs: bool = False
 ) -> None:
     """Child-process mode: one PULSE run at one scaling point; prints a
     JSON line with its best-of-``repeats`` wall time and this process's
@@ -234,9 +232,7 @@ def run_point(
     seconds = float("inf")
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
-        Simulation(trace, assignment, PulsePolicy(), lean).run(
-            engine=engine, shards=shards if engine == "fleet" else 1
-        )
+        Simulation(trace, assignment, PulsePolicy(), lean).run(engine=engine)
         seconds = min(seconds, time.perf_counter() - t0)
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     print(
@@ -261,7 +257,6 @@ def bench_fleet_scaling(quick: bool) -> dict:
             "engines": {},
         }
         for engine in engines:
-            shards = FLEET_SHARDS if engine == "fleet" else 1
             # Best-of-3 where a single run sits in noise territory
             # (sub-second samples feed the CI regression gate); one run
             # is plenty once a point takes tens of seconds.
@@ -270,8 +265,7 @@ def bench_fleet_scaling(quick: bool) -> dict:
                 proc = subprocess.run(
                     [
                         sys.executable, os.path.abspath(__file__), "--point",
-                        str(n), str(horizon), engine, str(shards),
-                        str(repeats), "off",
+                        str(n), str(horizon), engine, str(repeats), "off",
                     ],
                     capture_output=True,
                     text=True,
@@ -310,7 +304,6 @@ def bench_fleet_scaling(quick: bool) -> dict:
                 entry["speedup_is_lower_bound"] = True
         points.append(entry)
     return {
-        "shards": FLEET_SHARDS,
         "policy": "pulse",
         "note": (
             "fleet is SLOWER than fast below the crossover (~0.32x at 12 "
@@ -340,7 +333,6 @@ def bench_fleet_obs_overhead(quick: bool) -> dict:
     points = OBS_OVERHEAD_POINTS[:1] if quick else OBS_OVERHEAD_POINTS
     out: dict = {
         "engine": "fleet",
-        "shards": FLEET_SHARDS,
         "trace_sample": OBS_TRACE_SAMPLE,
         "points": [],
     }
@@ -356,8 +348,7 @@ def bench_fleet_obs_overhead(quick: bool) -> dict:
                 proc = subprocess.run(
                     [
                         sys.executable, os.path.abspath(__file__), "--point",
-                        str(n), str(horizon), "fleet", str(FLEET_SHARDS),
-                        "1", mode,
+                        str(n), str(horizon), "fleet", "1", mode,
                     ],
                     capture_output=True,
                     text=True,
@@ -464,8 +455,8 @@ def main() -> None:
     parser.add_argument("--out", default="BENCH_perf.json")
     parser.add_argument(
         "--point",
-        nargs=6,
-        metavar=("N", "HORIZON", "ENGINE", "SHARDS", "REPEATS", "OBS"),
+        nargs=5,
+        metavar=("N", "HORIZON", "ENGINE", "REPEATS", "OBS"),
         help=argparse.SUPPRESS,  # internal: scaling-point child process
     )
     parser.add_argument(
@@ -499,10 +490,9 @@ def main() -> None:
     args = parser.parse_args()
 
     if args.point is not None:
-        n, horizon, engine, shards, point_repeats, obs = args.point
+        n, horizon, engine, point_repeats, obs = args.point
         run_point(
-            int(n), int(horizon), engine, int(shards), int(point_repeats),
-            obs=(obs == "on"),
+            int(n), int(horizon), engine, int(point_repeats), obs=(obs == "on")
         )
         return
 

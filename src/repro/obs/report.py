@@ -10,7 +10,7 @@ included only when the run carried the data for them:
 - warm/cold/forced-downgrade bar chart;
 - span-phase timing bar chart (when spans were enabled);
 - a fleet telemetry section (when the run carried a
-  :class:`~repro.obs.fleet.FleetObsSession`): per-shard serving and
+  :class:`~repro.obs.fleet.FleetObsSession`): serving totals and
   phase-timing breakdown, run throughput, and the memory / valve /
   downgrade timeline from the columnar partials;
 - decision-record tally and flat metrics table (when the respective
@@ -64,7 +64,7 @@ def _table(rows: list[tuple[str, object]], headers: tuple[str, str]) -> str:
 
 
 def _fleet_section(result, obs: FleetObsSession) -> list[str]:
-    """The fleet-only report section: per-shard breakdown, throughput,
+    """The fleet-only report section: serving breakdown, throughput,
     and the memory / valve / downgrade timeline from the columnar
     partials."""
     parts: list[str] = ["<h2>Fleet telemetry</h2>"]
@@ -75,7 +75,6 @@ def _fleet_section(result, obs: FleetObsSession) -> list[str]:
     parts.append(
         _table(
             [
-                ("shards", obs.n_shards),
                 ("functions", obs.n_functions),
                 ("sampled decision traces", int(obs.sample_fids.size)),
                 ("memory peaks", obs.n_peaks),
@@ -86,26 +85,20 @@ def _fleet_section(result, obs: FleetObsSession) -> list[str]:
         )
     )
 
-    # Per-shard serving totals, with per-shard phase seconds when spans
-    # were on (the shard timers live under ``shard-{i}/...`` in the tree).
+    # Serving totals, with the serve/observe/plan phase seconds when
+    # spans were on.
     tree = obs.spans.tree() if obs.spans_enabled and obs.spans else {}
-    header = "<tr><th>shard</th><th>invocations</th><th>cold</th>"
-    timed = bool(tree)
-    if timed:
+    header = "<tr><th>invocations</th><th>cold</th>"
+    row = (
+        f'<tr><td class="num">{obs.n_invocations}</td>'
+        f'<td class="num">{obs.n_cold}</td>'
+    )
+    if tree:
         header += "<th>serve ms</th><th>observe ms</th><th>plan ms</th>"
-    rows = [header + "</tr>"]
-    for i in range(obs.n_shards):
-        row = (
-            f'<tr><td>{i}</td><td class="num">{int(obs.shard_invocations[i])}'
-            f'</td><td class="num">{int(obs.shard_cold[i])}</td>'
-        )
-        if timed:
-            phases = tree.get(f"shard-{i}", {}).get("children", {})
-            for phase in ("serve", "observe", "plan"):
-                ms = phases.get(phase, {}).get("seconds", 0.0) * 1e3
-                row += f'<td class="num">{ms:.3f}</td>'
-        rows.append(row + "</tr>")
-    parts.append(f"<table>{''.join(rows)}</table>")
+        for phase in ("serve", "observe", "plan"):
+            ms = tree.get(phase, {}).get("seconds", 0.0) * 1e3
+            row += f'<td class="num">{ms:.3f}</td>'
+    parts.append(f"<table>{header}</tr>{row}</tr></table>")
 
     reduce_phases = tree.get("reduce", {}).get("children", {})
     if reduce_phases:

@@ -77,7 +77,13 @@ __all__ = [
 #: versioned, integrity-checked JSON carrier — the pickle layout is
 #: unchanged, so no bump; envelopes embed this version and refuse
 #: mismatches exactly like ``load()``.
-CHECKPOINT_SCHEMA_VERSION = 2
+#: v3: the fleet engine's ``"fleet"`` payload object holds one columnar
+#: state instead of a list of per-fid-range partitions, its obs session
+#: carries two int serving totals instead of per-partition arrays, and
+#: session snapshot ``meta`` lost its partition-count key. v2 snapshots
+#: and journals are refused with the version error rather than
+#: unpickled against classes that no longer exist.
+CHECKPOINT_SCHEMA_VERSION = 3
 
 #: The schema manifest: the exact field set each engine's
 #: ``live_state()`` pickles into the payload, per engine key. This is

@@ -23,8 +23,7 @@ best-effort goal. Three properties make it achievable:
   are reproduced with sequential folds — see :func:`seq_fold`.
 - **Order-free integer state.** Invocation histograms, entry counts and
   downgrade counters are integers; batch scatter-adds (``np.add.at``)
-  commute, so shards can update partials independently and a reducer can
-  merge them by exact integer addition.
+  commute, so a batch of edits reaches the same state in any order.
 
 Nothing here imports the engine or the policies: the kernels are pure
 state + math, testable in isolation.
@@ -152,8 +151,8 @@ class VariantTables:
 class ColumnarEstimator:
     """Vectorized :class:`~repro.core.interarrival.InterArrivalEstimator`.
 
-    Holds one shard's inter-arrival state as dense arrays over local
-    function indices. The reference keeps a per-function deque of
+    Holds the fleet's inter-arrival state as dense arrays over function
+    ids. The reference keeps a per-function deque of
     ``(arrival minute, gap)`` pairs and evicts lazily at query time; here
     the recent queue is a deque of *per-minute batches* and eviction runs
     eagerly once per minute. The two are equivalent: a query at minute
@@ -305,26 +304,26 @@ class ColumnarEstimator:
 
 
 class RingSchedule:
-    """One shard's keep-alive entries over a rolling window of minutes.
+    """The fleet's keep-alive entries over a rolling window of minutes.
 
     Entries only ever exist for minutes ``t .. t+K`` (the engine is at
     minute ``t``; plans reach at most K ahead), so the schedule is a ring
     of ``K+1`` columns: column ``m % (K+1)`` holds minute ``m``'s planned
     variant *level* per function (−1 = nothing planned). Alongside, a
     ``(column, footprint slot)`` count matrix mirrors
-    :class:`KeepAliveSchedule`'s per-minute count ledger for this shard's
-    fid range — the reducer sums these across shards and folds them in
-    slot order to reproduce the canonical memory value exactly.
+    :class:`KeepAliveSchedule`'s per-minute count ledger — the reducer
+    folds a minute's row in slot order to reproduce the canonical memory
+    value exactly.
     """
 
-    def __init__(self, n_functions: int, keep_alive_window: int, tables: VariantTables, fam: np.ndarray):
+    def __init__(self, n_functions: int, keep_alive_window: int, tables: VariantTables):
         self.n_functions = n_functions
         self.keep_alive_window = keep_alive_window
         self.n_cols = keep_alive_window + 1
         self.levels = np.full((n_functions, self.n_cols), -1, dtype=np.int8)
         self.cnt = np.zeros((self.n_cols, tables.n_slots), dtype=np.int64)
         self.slot_of = tables.slot_of
-        self.fam = fam  # family index per local fid
+        self.fam = tables.fam_idx  # family index per fid
 
     def begin_minute(self, minute: int) -> None:
         """Recycle the column that held minute ``minute - 1``: it now
@@ -334,46 +333,46 @@ class RingSchedule:
             self.levels[:, col] = -1
             self.cnt[col, :] = 0
 
-    def alive_levels(self, lfids: np.ndarray, minute: int) -> np.ndarray:
-        """Planned level at ``minute`` for each local fid (−1 = absent)."""
-        return self.levels[lfids, minute % self.n_cols].astype(np.int64)
+    def alive_levels(self, fids: np.ndarray, minute: int) -> np.ndarray:
+        """Planned level at ``minute`` for each fid (−1 = absent)."""
+        return self.levels[fids, minute % self.n_cols].astype(np.int64)
 
-    def alive_lfids(self, minute: int) -> np.ndarray:
-        """Local fids with an entry at ``minute``, ascending."""
+    def alive_fids(self, minute: int) -> np.ndarray:
+        """Fids with an entry at ``minute``, ascending."""
         return np.flatnonzero(self.levels[:, minute % self.n_cols] >= 0)
 
-    def mark_alive(self, lfids: np.ndarray, minute: int, levels: np.ndarray) -> None:
+    def mark_alive(self, fids: np.ndarray, minute: int, levels: np.ndarray) -> None:
         """Add entries at ``minute`` for fids known to have none (the
         engine's cold-start bookkeeping)."""
-        if lfids.size == 0:
+        if fids.size == 0:
             return
         col = minute % self.n_cols
-        self.levels[lfids, col] = levels
-        np.add.at(self.cnt, (col, self.slot_of[self.fam[lfids], levels]), 1)
+        self.levels[fids, col] = levels
+        np.add.at(self.cnt, (col, self.slot_of[self.fam[fids], levels]), 1)
 
-    def mark_alive_one(self, lfid: int, minute: int, level: int) -> None:
+    def mark_alive_one(self, fid: int, minute: int, level: int) -> None:
         """Scalar :meth:`mark_alive` for the engine's compatibility loop."""
         col = minute % self.n_cols
-        self.levels[lfid, col] = level
-        self.cnt[col, self.slot_of[self.fam[lfid], level]] += 1
+        self.levels[fid, col] = level
+        self.cnt[col, self.slot_of[self.fam[fid], level]] += 1
 
     def write_plans(
-        self, lfids: np.ndarray, minute: int, plan_levels: np.ndarray
+        self, fids: np.ndarray, minute: int, plan_levels: np.ndarray
     ) -> None:
         """Install plans for minutes ``minute+1 .. minute+W`` (one row per
-        fid in ``lfids``; level −1 clears the minute's entry).
+        fid in ``fids``; level −1 clears the minute's entry).
 
         Equivalent to the reference's per-minute ``set_plan`` writes:
         unchanged entries are untouched, changes move one integer count
         from the old footprint slot to the new one.
         """
-        if lfids.size == 0:
+        if fids.size == 0:
             return
         width = plan_levels.shape[1]
         cols = (minute + 1 + np.arange(width)) % self.n_cols
-        old = self.levels[lfids[:, None], cols[None, :]].astype(np.int64)
+        old = self.levels[fids[:, None], cols[None, :]].astype(np.int64)
         changed = old != plan_levels
-        fam = self.fam[lfids]
+        fam = self.fam[fids]
         rows, offs = np.nonzero(changed & (old >= 0))
         if rows.size:
             np.add.at(
@@ -388,17 +387,17 @@ class RingSchedule:
                 (cols[offs], self.slot_of[fam[rows], plan_levels[rows, offs]]),
                 1,
             )
-        self.levels[lfids[:, None], cols[None, :]] = plan_levels.astype(np.int8)
+        self.levels[fids[:, None], cols[None, :]] = plan_levels.astype(np.int8)
 
     def downgrade(
         self,
-        lfids: np.ndarray,
+        fids: np.ndarray,
         n: np.ndarray | int,
         minute: int,
         allow_drop: np.ndarray | bool,
     ) -> None:
         """Apply ``n[i]`` successive one-level downgrades to every entry
-        of local fid ``lfids[i]`` from ``minute`` on (``lfids`` unique).
+        of fid ``fids[i]`` from ``minute`` on (``fids`` unique).
 
         The schedule-layer semantics of ``n`` repeated
         ``KeepAliveSchedule.downgrade`` calls: an entry at level ``l``
@@ -408,14 +407,14 @@ class RingSchedule:
         K``, so every ring column is covered; each changed entry moves
         one count between footprint slots.
         """
-        old = self.levels[lfids].astype(np.int64)  # (k, K+1)
+        old = self.levels[fids].astype(np.int64)  # (k, K+1)
         lowered = old - np.reshape(n, (-1, 1))
         floor = np.where(np.reshape(allow_drop, (-1, 1)), -1, 0)
         new = np.where(old < 0, -1, np.maximum(lowered, floor))
         rows, cols = np.nonzero(new != old)
-        fam = self.fam[lfids][rows]
+        fam = self.fam[fids][rows]
         np.add.at(self.cnt, (cols, self.slot_of[fam, old[rows, cols]]), -1)
         kept = new[rows, cols]
         up = kept >= 0
         np.add.at(self.cnt, (cols[up], self.slot_of[fam[up], kept[up]]), 1)
-        self.levels[lfids] = new.astype(np.int8)
+        self.levels[fids] = new.astype(np.int8)

@@ -3,34 +3,26 @@
 The reference loop (:mod:`repro.runtime.simulator`) and the event-driven
 fast path (:mod:`repro.runtime.fastpath`) both iterate Python objects per
 (function, minute); at fleet scale that is the bottleneck. This engine
-keeps all per-function state in numpy arrays (:mod:`repro.runtime.columnar`)
-partitioned into :class:`FleetShards` — contiguous function-id ranges,
-each owning its slice of the estimator and keep-alive state — and runs
-the per-minute cycle as array kernels:
+keeps all per-function state in one columnar state (:class:`FleetShards`
+over the arrays of :mod:`repro.runtime.columnar`) and runs the
+per-minute cycle as array kernels:
 
-1. **shard-local**: serve the minute's invocations (cold/warm split,
+1. **serve and plan**: serve the minute's invocations (cold/warm split,
    service-time and accuracy contributions), feed the inter-arrival
    estimator, map probabilities through the threshold scheme and install
-   the keep-alive plans — all batched over the shard's invoking fids;
-2. **publish**: each shard exposes its per-minute memory partial (an
-   integer count per footprint slot) and, on peak minutes, its alive
-   set with the per-function utility inputs (*Ip*, the drop-protection
-   max-remaining probability, current levels);
-3. **reduce**: a single reducer merges the partials — integer adds for
-   memory, fid-ordered concatenation for the alive set — and runs the
-   *global* stages on the merged state: Algorithm 1 peak detection,
-   Algorithm 2 lowest-utility downgrades (victim order from one sort
-   of chained events, :class:`DowngradeBlocks`), and the provider
-   capacity valve. Victim decisions flow back to the owning shard as
-   array schedule edits (``n`` downgrades per fid).
+   the keep-alive plans — all batched over the minute's invoking fids;
+2. **reduce**: the global stages read the keep-alive ring (per-minute
+   integer counts per footprint slot) and, on peak minutes, the alive
+   set with its utility inputs (*Ip*, the drop-protection max-remaining
+   probability, current levels) straight from the estimator, and run
+   Algorithm 1 peak detection, Algorithm 2 lowest-utility downgrades
+   (victim order from one sort of chained events,
+   :class:`DowngradeBlocks`) and the provider capacity valve. Victim
+   decisions are applied to the ring as array edits (``n`` downgrades
+   per fid).
 
-Because the merge is exact integer addition and fid-ordered
-concatenation, the reduced state is byte-identical for any shard count:
-``shards=1`` ≡ ``shards=k``, and both are bit-identical to the reference
-engine (pinned by ``tests/test_engine_fleet.py``). Shards are processed
-serially in-process — the shard API is message-shaped (publish/reduce/
-apply) so a process pool can be slotted in, but determinism, not
-parallelism, is what the protocol buys today.
+Every stage is bit-identical to the reference engine (pinned by
+``tests/test_engine_fleet.py``).
 
 Two execution modes, chosen by the config:
 
@@ -47,16 +39,15 @@ Two execution modes, chosen by the config:
 
 Observability runs columnar too: ``SimulationConfig.observe`` gets a
 :class:`~repro.obs.fleet.FleetObsSession` whose ``tally_*`` batch hooks
-fold per-shard numpy partials (cold/invocation totals, plan-level
-histograms, memory/valve/downgrade series) instead of per-decision
-``record_*`` calls, plus full decision traces for a seeded sample of
-fids (``ObservabilityConfig.trace_sample``) so ``repro inspect``
-why-queries keep working. Phase timers are hierarchical —
-``shard-{i}/serve|observe|plan`` and ``reduce/peak-flatten|downgrade|
-valve`` — and merge into one span tree per run
-(:meth:`~repro.obs.spans.SpanTimer.tree`). All instrumentation only
-*reads* engine state, so obs-on runs stay bit-identical to obs-off and
-metric totals are shard-invariant (``tests/test_fleet_obs.py``).
+fold whole batches into columnar totals (cold/invocation counts,
+plan-level histograms, memory/valve/downgrade series) instead of
+per-decision ``record_*`` calls, plus full decision traces for a seeded
+sample of fids (``ObservabilityConfig.trace_sample``) so ``repro
+inspect`` why-queries keep working. Phase timers are ``serve``,
+``observe``, ``plan`` and ``reduce/peak-flatten|downgrade|valve``, one
+span tree per run (:meth:`~repro.obs.spans.SpanTimer.tree`). All
+instrumentation only *reads* engine state, so obs-on runs stay
+bit-identical to obs-off (``tests/test_fleet_obs.py``).
 
 Not supported (explicit ``ValueError``): ``measure_overhead`` (defined
 over the reference loop's per-decision cadence), checkpoint/resume,
@@ -184,238 +175,6 @@ def _compile_policy(
     )
 
 
-# -- shards ------------------------------------------------------------------
-
-
-class _Shard:
-    """One contiguous fid range's columnar state and local kernels."""
-
-    def __init__(
-        self,
-        lo: int,
-        hi: int,
-        tables: VariantTables,
-        keep_alive_window: int,
-        model: _PulseModel | _FixedModel,
-        index: int = 0,
-    ):
-        self.lo = lo
-        self.hi = hi
-        self.index = index
-        self.span_prefix = f"shard-{index}"
-        self.tables = tables
-        self.fam = tables.fam_idx[lo:hi]
-        self.nv = tables.n_variants[lo:hi]
-        self.ring = RingSchedule(hi - lo, keep_alive_window, tables, self.fam)
-        if model.kind == "pulse":
-            self.est: ColumnarEstimator | None = ColumnarEstimator(
-                hi - lo,
-                model.window,
-                model.local_window,
-                model.normalization,
-                model.mode,
-            )
-            self.cold_levels = np.where(model.cold_highest, self.nv - 1, 0)
-        else:
-            self.est = None
-            self.cold_levels = model.levels[lo:hi]
-        # Sampled-trace fids falling in this shard, as local ids —
-        # installed by ``FleetShards.bind_sample``; empty means the
-        # sampled-record paths are skipped on one attribute read.
-        self.sample_lfids = np.empty(0, dtype=np.int64)
-
-    def sampled_rows(self, lfids: np.ndarray) -> np.ndarray:
-        """Row indices of this shard's sampled fids within a sorted
-        local-fid batch — O(k log n) for k sampled fids, instead of
-        masking the whole batch per shard-minute."""
-        s = self.sample_lfids
-        pos = np.searchsorted(lfids, s)
-        ok = pos < lfids.size
-        pos = pos[ok]
-        return pos[lfids[pos] == s[ok]]
-
-    def begin_minute(self, minute: int) -> None:
-        self.ring.begin_minute(minute)
-        if self.est is not None:
-            self.est.evict(minute)
-
-    def serve(
-        self,
-        lfids: np.ndarray,
-        counts: np.ndarray,
-        minute: int,
-        injector: FaultInjector | None,
-        obs: FleetObsSession | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Vectorized serving of one minute's invocations (lean mode).
-
-        Returns (service-time contributions, accuracy contributions,
-        cold-start count); marks cold starts alive on the ring. Each
-        contribution is the same float expression the reference evaluates
-        per function, computed elementwise. ``obs`` (when given) receives
-        the shard-minute tallies and, for sampled fids, full ``cold``
-        trace records — all read-only on the engine state.
-        """
-        tables = self.tables
-        alive = self.ring.alive_levels(lfids, minute)
-        cold = alive < 0
-        serve_lv = np.where(cold, self.cold_levels[lfids], alive)
-        fam = self.fam[lfids]
-        warm_s = tables.warm_s[fam, serve_lv]
-        rec = obs if obs is not None and self.sample_lfids.size else None
-        if injector is None:
-            cold_part = tables.cold_s[fam, serve_lv] + (counts - 1) * warm_s
-        else:
-            penalty = np.zeros(len(lfids))
-            # repro: lint-ok[RPR009] fault-injection path only (injector
-            # attached): iterates the injected cold starts of one shard-
-            # minute, bounded by the chaos scenario, not fleet cardinality
-            for i in np.flatnonzero(cold).tolist():
-                gfid = int(lfids[i]) + self.lo
-                variant = tables.variant(int(fam[i]), int(serve_lv[i]))
-                penalty[i] = injector.cold_start_penalty(
-                    minute, gfid, variant,
-                    rec if rec is not None and rec.is_sampled(gfid) else None,
-                    None,
-                )
-            cold_part = (
-                tables.cold_s[fam, serve_lv] + penalty + (counts - 1) * warm_s
-            )
-        service = np.where(cold, cold_part, counts * warm_s)
-        accuracy = counts * tables.accuracy[fam, serve_lv]
-        self.ring.mark_alive(lfids[cold], minute, serve_lv[cold])
-        n_cold = int(cold.sum())
-        if obs is not None:
-            obs.tally_serve(self.index, int(counts.sum()), n_cold)
-            if rec is not None:
-                rows = self.sampled_rows(lfids)
-                # repro: lint-ok[RPR009] trace-sampling path: iterates the
-                # cold starts of the sampled fids only, bounded by the obs
-                # session's sample size, not fleet cardinality
-                for i in rows[cold[rows]].tolist():
-                    gfid = int(lfids[i]) + self.lo
-                    variant = tables.variant(int(fam[i]), int(serve_lv[i]))
-                    obs.record_cold(
-                        minute, gfid, variant.name, int(counts[i]),
-                        obs.last_seen(gfid),
-                    )
-        return service, accuracy, n_cold
-
-    def observe_and_plan(
-        self,
-        lfids: np.ndarray,
-        minute: int,
-        model: _PulseModel | _FixedModel,
-        obs: FleetObsSession | None = None,
-    ) -> None:
-        """Feed the estimator and install keep-alive plans for the
-        minute's invoking functions (both modes — planning is columnar
-        even when serving is scalar). ``obs`` tallies the plan-level
-        histogram and writes full ``plan`` records for sampled fids."""
-        if model.kind == "fixed":
-            width = self.ring.keep_alive_window
-            plan = np.broadcast_to(
-                self.cold_levels[lfids][:, None], (len(lfids), width)
-            )
-            self.ring.write_plans(lfids, minute, plan)
-            if obs is not None:
-                obs.tally_plans(plan)
-                if self.sample_lfids.size:
-                    self._record_sampled_plans(lfids, minute, plan, None, obs)
-            return
-        est = self.est
-        assert est is not None
-        spans = obs.spans if obs is not None and obs.spans_enabled else None
-        t0 = time.perf_counter() if spans is not None else 0.0
-        est.observe(lfids, minute)
-        probs = est.mode_rows(est.exact_rows(lfids))
-        if spans is not None:
-            t1 = time.perf_counter()
-            spans.add(self.span_prefix + "/observe", t1 - t0)
-        levels = _vector_levels(probs, self.nv[lfids], model.scheme)
-        no_history = est.no_history(lfids)
-        if no_history.any():
-            # No inter-arrival data yet: behave like the fixed policy
-            # (FunctionCentricOptimizer's cold_start_fallback="highest").
-            levels[no_history] = (self.nv[lfids[no_history]] - 1)[:, None]
-        self.ring.write_plans(lfids, minute, levels)
-        if spans is not None:
-            spans.add(self.span_prefix + "/plan", time.perf_counter() - t1)
-        if obs is not None:
-            obs.tally_plans(levels)
-            if self.sample_lfids.size:
-                self._record_sampled_plans(
-                    lfids, minute, levels, probs, obs, no_history
-                )
-
-    def _record_sampled_plans(
-        self,
-        lfids: np.ndarray,
-        minute: int,
-        levels: np.ndarray,
-        probs: np.ndarray | None,
-        obs: FleetObsSession,
-        no_history: np.ndarray | None = None,
-    ) -> None:
-        """Full ``plan`` trace records for this batch's sampled fids.
-
-        Mirror of FunctionCentricOptimizer: the probability vector is
-        staged only when it actually drove the plan — fids with no
-        inter-arrival history (``no_history``) fell back blind.
-        """
-        for j in self.sampled_rows(lfids).tolist():
-            gfid = int(lfids[j]) + self.lo
-            if probs is not None and (
-                no_history is None or not no_history[j]
-            ):
-                obs.stage_probs(gfid, minute, probs[j])
-            fam = int(self.fam[lfids[j]])
-            plan = [
-                None if lv < 0 else self.tables.variant(fam, int(lv))
-                for lv in levels[j].tolist()
-            ]
-            obs.record_plan(minute, gfid, plan)
-            obs.note_arrival(gfid, minute)
-
-    def publish_memory(self, minute: int) -> np.ndarray:
-        """This shard's per-footprint-slot entry counts at ``minute``."""
-        return self.ring.cnt[minute % self.ring.n_cols]
-
-    def publish_alive(
-        self, minute: int, with_probabilities: bool
-    ) -> tuple[np.ndarray, ...]:
-        """The shard's alive set at ``minute`` as global fids + levels,
-        plus (on peak minutes) the utility inputs *Ip* / max-remaining."""
-        local = self.ring.alive_lfids(minute)
-        fids = local + self.lo
-        levels = self.ring.alive_levels(local, minute)
-        if not with_probabilities:
-            return fids, levels
-        assert self.est is not None
-        ip, max_rem = self.est.ip_and_max_remaining(local, minute)
-        return fids, levels, ip, max_rem
-
-    def apply_downgrades(
-        self,
-        fids: np.ndarray,
-        n: np.ndarray | int,
-        minute: int,
-        allow_drop: np.ndarray | bool,
-    ) -> None:
-        """Reducer decisions flowing back: downgrade each of this shard's
-        global ``fids`` ``n`` times (see :meth:`RingSchedule.downgrade`)."""
-        self.ring.downgrade(fids - self.lo, n, minute, allow_drop)
-
-    def level_at(self, fid: int, minute: int) -> int:
-        return int(self.ring.levels[fid - self.lo, minute % self.ring.n_cols])
-
-    def variant_at(self, fid: int, minute: int):
-        level = self.level_at(fid, minute)
-        if level < 0:
-            return None
-        return self.tables.variant(int(self.fam[fid - self.lo]), level)
-
-
 # -- reduce: Algorithm 2 in blocks --------------------------------------------
 
 
@@ -450,7 +209,7 @@ class DowngradeBlocks:
 
     ``counts`` are the full-fleet downgrade counts (Eq. 1 normalizes
     over every function, not only the alive ones); ``mem_row`` is the
-    merged slot-count row of the minute and ``memory`` its fold.
+    slot-count row of the minute and ``memory`` its fold.
     """
 
     #: Events folded per prefix-memory chunk — bounds the ``(chunk,
@@ -589,46 +348,42 @@ class DowngradeBlocks:
 
 
 class FleetShards:
-    """The shard set plus the global reducer (Algorithms 1 & 2, valve).
+    """The fleet's columnar state, its per-minute kernels and the global
+    reducer (Algorithms 1 & 2, capacity valve).
 
-    Owns everything that is *cross-function* state in the reference
+    Holds every function's keep-alive ring (:class:`RingSchedule`) and,
+    for PULSE, its inter-arrival estimator (:class:`ColumnarEstimator`),
+    plus everything that is *cross-function* state in the reference
     policy stack — the peak detector, the priority structure, the
-    capacity RNG — and drives it on merged shard partials. All merges
-    are exact: memory partials are integer slot counts summed across
-    shards; alive sets are concatenated in shard (= fid) order. The
-    reducer therefore makes byte-identical decisions for any shard
-    count, which the shards then apply locally.
+    capacity RNG. The serve/plan kernels batch over a minute's invoking
+    fids; the reducer reads the ring and estimator directly.
     """
 
     def __init__(
         self,
         n_functions: int,
-        n_shards: int,
         keep_alive_window: int,
         tables: VariantTables,
         model: _PulseModel | _FixedModel,
         capacity_seed: int,
     ):
-        n_shards = max(1, min(n_shards, n_functions))
-        self.n_functions = n_functions
         self.tables = tables
         self.model = model
-        bounds = [i * n_functions // n_shards for i in range(n_shards + 1)]
-        self.shards = [
-            _Shard(
-                bounds[i], bounds[i + 1], tables, keep_alive_window, model,
-                index=i,
-            )
-            for i in range(n_shards)
-        ]
-        self.bounds = np.array(bounds[1:], dtype=np.int64)  # split points
-        self.shard_index = np.empty(n_functions, dtype=np.int64)
-        for i, shard in enumerate(self.shards):
-            self.shard_index[shard.lo : shard.hi] = i
+        self.fam = tables.fam_idx
+        self.nv = tables.n_variants
+        self.ring = RingSchedule(n_functions, keep_alive_window, tables)
         self.capacity_rng = rng_from_seed(capacity_seed)
         self.n_forced = 0
         self.n_downgrades = 0
         if model.kind == "pulse":
+            self.est: ColumnarEstimator | None = ColumnarEstimator(
+                n_functions,
+                model.window,
+                model.local_window,
+                model.normalization,
+                model.mode,
+            )
+            self.cold_levels = np.where(model.cold_highest, self.nv - 1, 0)
             self.detector: PeakDetector | None = PeakDetector(
                 memory_threshold=model.memory_threshold,
                 local_window=model.local_window,
@@ -638,47 +393,172 @@ class FleetShards:
                 n_functions
             )
         else:
+            self.est = None
+            self.cold_levels = model.levels
             self.detector = None
             self.priority = None
 
-    def bind_sample(self, sample_fids: np.ndarray) -> None:
-        """Distribute an obs session's sampled fids to their shards (as
-        local ids), so the per-batch sampled-record lookups are O(k) in
-        this shard's sample size rather than the batch size."""
-        for shard in self.shards:
-            in_range = sample_fids[
-                (sample_fids >= shard.lo) & (sample_fids < shard.hi)
+    def begin_minute(self, minute: int) -> None:
+        self.ring.begin_minute(minute)
+        if self.est is not None:
+            self.est.evict(minute)
+
+    def level_at(self, fid: int, minute: int) -> int:
+        return int(self.ring.levels[fid, minute % self.ring.n_cols])
+
+    def variant_at(self, fid: int, minute: int):
+        level = self.level_at(fid, minute)
+        if level < 0:
+            return None
+        return self.tables.variant(int(self.fam[fid]), level)
+
+    # -- per-minute kernels ------------------------------------------------
+    def serve(
+        self,
+        fids: np.ndarray,
+        counts: np.ndarray,
+        minute: int,
+        injector: FaultInjector | None,
+        obs: FleetObsSession | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Vectorized serving of one minute's invocations (lean mode).
+
+        Returns (service-time contributions, accuracy contributions,
+        cold-start count); marks cold starts alive on the ring. Each
+        contribution is the same float expression the reference evaluates
+        per function, computed elementwise. ``obs`` (when given) receives
+        the minute's tallies and, for sampled fids, full ``cold`` trace
+        records — all read-only on the engine state.
+        """
+        tables = self.tables
+        alive = self.ring.alive_levels(fids, minute)
+        cold = alive < 0
+        serve_lv = np.where(cold, self.cold_levels[fids], alive)
+        fam = self.fam[fids]
+        warm_s = tables.warm_s[fam, serve_lv]
+        rec = obs if obs is not None and obs.has_sample else None
+        if injector is None:
+            cold_part = tables.cold_s[fam, serve_lv] + (counts - 1) * warm_s
+        else:
+            penalty = np.zeros(len(fids))
+            # repro: lint-ok[RPR009] fault-injection path only (injector
+            # attached): iterates the injected cold starts of one minute,
+            # bounded by the chaos scenario, not fleet cardinality
+            for i in np.flatnonzero(cold).tolist():
+                fid = int(fids[i])
+                variant = tables.variant(int(fam[i]), int(serve_lv[i]))
+                penalty[i] = injector.cold_start_penalty(
+                    minute, fid, variant,
+                    rec if rec is not None and rec.is_sampled(fid) else None,
+                    None,
+                )
+            cold_part = (
+                tables.cold_s[fam, serve_lv] + penalty + (counts - 1) * warm_s
+            )
+        service = np.where(cold, cold_part, counts * warm_s)
+        accuracy = counts * tables.accuracy[fam, serve_lv]
+        self.ring.mark_alive(fids[cold], minute, serve_lv[cold])
+        n_cold = int(cold.sum())
+        if obs is not None:
+            obs.tally_serve(int(counts.sum()), n_cold)
+            if rec is not None:
+                rows = _sampled_rows(fids, rec.sample_fids)
+                # repro: lint-ok[RPR009] trace-sampling path: iterates the
+                # cold starts of the sampled fids only, bounded by the obs
+                # session's sample size, not fleet cardinality
+                for i in rows[cold[rows]].tolist():
+                    fid = int(fids[i])
+                    variant = tables.variant(int(fam[i]), int(serve_lv[i]))
+                    obs.record_cold(
+                        minute, fid, variant.name, int(counts[i]),
+                        obs.last_seen(fid),
+                    )
+        return service, accuracy, n_cold
+
+    def observe_and_plan(
+        self,
+        fids: np.ndarray,
+        minute: int,
+        obs: FleetObsSession | None = None,
+    ) -> None:
+        """Feed the estimator and install keep-alive plans for the
+        minute's invoking functions (both modes — planning is columnar
+        even when serving is scalar). ``obs`` tallies the plan-level
+        histogram, times the ``observe`` and ``plan`` phases, and writes
+        full ``plan`` records for sampled fids."""
+        rec = obs if obs is not None and obs.has_sample else None
+        if self.model.kind == "fixed":
+            width = self.ring.keep_alive_window
+            plan = np.broadcast_to(
+                self.cold_levels[fids][:, None], (len(fids), width)
+            )
+            self.ring.write_plans(fids, minute, plan)
+            if obs is not None:
+                obs.tally_plans(plan)
+            if rec is not None:
+                self._record_sampled_plans(fids, minute, plan, None, rec)
+            return
+        est = self.est
+        assert est is not None
+        spans = obs.spans if obs is not None and obs.spans_enabled else None
+        t0 = time.perf_counter() if spans is not None else 0.0
+        est.observe(fids, minute)
+        probs = est.mode_rows(est.exact_rows(fids))
+        if spans is not None:
+            t1 = time.perf_counter()
+            spans.add("observe", t1 - t0)
+        levels = _vector_levels(probs, self.nv[fids], self.model.scheme)
+        no_history = est.no_history(fids)
+        if no_history.any():
+            # No inter-arrival data yet: behave like the fixed policy
+            # (FunctionCentricOptimizer's cold_start_fallback="highest").
+            levels[no_history] = (self.nv[fids[no_history]] - 1)[:, None]
+        self.ring.write_plans(fids, minute, levels)
+        if spans is not None:
+            spans.add("plan", time.perf_counter() - t1)
+        if obs is not None:
+            obs.tally_plans(levels)
+        if rec is not None:
+            self._record_sampled_plans(
+                fids, minute, levels, probs, rec, no_history
+            )
+
+    def _record_sampled_plans(
+        self,
+        fids: np.ndarray,
+        minute: int,
+        levels: np.ndarray,
+        probs: np.ndarray | None,
+        obs: FleetObsSession,
+        no_history: np.ndarray | None = None,
+    ) -> None:
+        """Full ``plan`` trace records for this batch's sampled fids.
+
+        Mirror of FunctionCentricOptimizer: the probability vector is
+        staged only when it actually drove the plan — fids with no
+        inter-arrival history (``no_history``) fell back blind.
+        """
+        for j in _sampled_rows(fids, obs.sample_fids).tolist():
+            fid = int(fids[j])
+            if probs is not None and (
+                no_history is None or not no_history[j]
+            ):
+                obs.stage_probs(fid, minute, probs[j])
+            fam = int(self.fam[fid])
+            plan = [
+                None if lv < 0 else self.tables.variant(fam, int(lv))
+                for lv in levels[j].tolist()
             ]
-            shard.sample_lfids = (in_range - shard.lo).astype(np.int64)
+            obs.record_plan(minute, fid, plan)
+            obs.note_arrival(fid, minute)
 
-    def shard_for(self, fid: int) -> _Shard:
-        return self.shards[self.shard_index[fid]]
-
-    def split(self, fids: np.ndarray) -> np.ndarray:
-        """Offsets partitioning a fid-ascending array by shard."""
-        cuts = np.searchsorted(fids, self.bounds)
-        return np.concatenate(([0], cuts))
-
-    # -- reduce: merged memory ---------------------------------------------
-    def merged_counts(self, minute: int) -> np.ndarray:
-        """The fleet's per-footprint-slot entry counts at ``minute`` —
-        the shard partials summed (exact integer addition)."""
-        merged = self.shards[0].publish_memory(minute)
-        for shard in self.shards[1:]:
-            merged = merged + shard.publish_memory(minute)
-        return merged
-
+    # -- reduce: memory ----------------------------------------------------
     def memory_at(self, minute: int) -> float:
         """The fleet's keep-alive memory at ``minute`` — the canonical
-        :func:`~repro.runtime.columnar.fold_memory` of the merged counts,
-        bit-identical to ``KeepAliveSchedule.memory_at``."""
-        merged = self.merged_counts(minute)
-        return float(fold_memory(merged[None, :], self.tables.slot_fps)[0])
-
-    def alive_fids(self, minute: int) -> np.ndarray:
-        """Global alive set at ``minute``, fid-ascending (valve input)."""
-        parts = [s.publish_alive(minute, False)[0] for s in self.shards]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        :func:`~repro.runtime.columnar.fold_memory` of the ring's slot
+        counts, bit-identical to ``KeepAliveSchedule.memory_at``."""
+        row = self.ring.cnt[minute % self.ring.n_cols]
+        return float(fold_memory(row[None, :], self.tables.slot_fps)[0])
 
     # -- reduce: Algorithms 1 & 2 -------------------------------------------
     def review(
@@ -687,16 +567,16 @@ class FleetShards:
         events: EventLog | None,
         obs: FleetObsSession | None = None,
     ) -> None:
-        """The global optimizer's per-minute review on merged state.
+        """The global optimizer's per-minute review on the fleet state.
 
         Mirrors ``GlobalOptimizer.review``: detect a peak against the
         prior (Algorithm 1), then downgrade the lowest-``Uv = Ai + Pr +
         Ip`` model one at a time (Algorithm 2) until demand is back
         under the flatten target — the victim order comes from
         :class:`DowngradeBlocks`, and the victims' total downgrades are
-        applied to the owning shards and the priority structure once;
-        always feed the detector demand + committed memory. ``obs``
-        tallies peaks/downgrades, times the ``reduce/peak-flatten`` and
+        applied to the ring and the priority structure once; always feed
+        the detector demand + committed memory. ``obs`` tallies
+        peaks/downgrades, times the ``reduce/peak-flatten`` and
         ``reduce/downgrade`` phases, and — for sampled victims — records
         the full (capped) candidate table.
         """
@@ -706,7 +586,8 @@ class FleetShards:
         assert isinstance(model, _PulseModel)
         rec = obs if obs is not None and obs.decisions_enabled else None
         spans = obs.spans if obs is not None and obs.spans_enabled else None
-        mem_row = self.merged_counts(minute)
+        ring = self.ring
+        mem_row = ring.cnt[minute % ring.n_cols]
         demand = float(fold_memory(mem_row[None, :], self.tables.slot_fps)[0])
         prior = detector.prior_memory()
         current = demand
@@ -717,11 +598,12 @@ class FleetShards:
                 obs.tally_peak()
             if rec is not None:
                 rec.record_peak(minute, demand, prior, target)
-            parts = [s.publish_alive(minute, True) for s in self.shards]
-            alive = np.concatenate([p[0] for p in parts])
-            levels = np.concatenate([p[1] for p in parts])
-            ip = np.minimum(np.concatenate([p[2] for p in parts]), 1.0)
-            max_rem = np.concatenate([p[3] for p in parts])
+            est = self.est
+            assert est is not None
+            alive = ring.alive_fids(minute)
+            levels = ring.alive_levels(alive, minute)
+            ip, max_rem = est.ip_and_max_remaining(alive, minute)
+            ip = np.minimum(ip, 1.0)
             sample_mask = rec.sample_mask if rec is not None else None
             blocks = DowngradeBlocks(
                 self.tables, model.weights, alive, levels, ip, max_rem,
@@ -742,14 +624,7 @@ class FleetShards:
             hit = np.flatnonzero(n)
             if hit.size:
                 fids = alive[hit]
-                allow_drop = max_rem[hit] == 0.0
-                offsets = self.split(fids)
-                for i, shard in enumerate(self.shards):
-                    a, b = int(offsets[i]), int(offsets[i + 1])
-                    if a < b:
-                        shard.apply_downgrades(
-                            fids[a:b], n[hit[a:b]], minute, allow_drop[a:b]
-                        )
+                ring.downgrade(fids, n[hit], minute, max_rem[hit] == 0.0)
                 # repro: lint-ok[RPR002] Alg. 2 line 10 bookkeeping on the
                 # PriorityStructure, not an obs hook; the loop engines make
                 # the same update through GlobalOptimizer.review
@@ -880,10 +755,10 @@ class FleetShards:
         events: EventLog | None,
         obs: FleetObsSession | None = None,
     ) -> int:
-        """§III-A's pressure valve on the merged alive set.
+        """§III-A's pressure valve on the fleet's alive set.
 
         Byte-compatible with ``apply_capacity_valve``: the candidate
-        array is the fid-ascending merged alive set, victims are drawn
+        array is the fid-ascending alive set, victims are drawn
         from the shared capacity RNG, and a victim leaves the candidate
         array only when its keep-alive is dropped entirely — so the RNG
         stream (which depends on the array length sequence) matches the
@@ -896,12 +771,11 @@ class FleetShards:
         rec = obs if obs is not None and obs.decisions_enabled else None
         spans = obs.spans if obs is not None and obs.spans_enabled else None
         t0 = time.perf_counter() if spans is not None else 0.0
-        alive = self.alive_fids(minute)
+        alive = self.ring.alive_fids(minute)
         sample_mask = rec.sample_mask if rec is not None else None
         forced = 0
         while self.memory_at(minute) > capacity_mb and alive.size:
             victim = int(self.capacity_rng.choice(alive))
-            shard = self.shard_for(victim)
             victim_rec = (
                 rec
                 if sample_mask is not None and sample_mask[victim]
@@ -909,19 +783,13 @@ class FleetShards:
             )
             record = events is not None or victim_rec is not None
             if record:
-                from_name = self.tables.variant(
-                    int(self.tables.fam_idx[victim]),
-                    shard.level_at(victim, minute),
-                ).name
-            shard.apply_downgrades(np.array([victim]), 1, minute, True)
+                from_name = self.variant_at(victim, minute).name
+            self.ring.downgrade(np.array([victim]), 1, minute, True)
             forced += 1
-            level = shard.level_at(victim, minute)
+            level = self.level_at(victim, minute)
             if record:
-                to_name = (
-                    self.tables.variant(int(self.tables.fam_idx[victim]), level).name
-                    if level >= 0
-                    else None
-                )
+                to = self.variant_at(victim, minute)
+                to_name = to.name if to is not None else None
                 emit_downgrade(
                     minute, victim, from_name, to_name, events, victim_rec,
                     forced=True,
@@ -934,6 +802,16 @@ class FleetShards:
             if spans is not None:
                 spans.add("reduce/valve", time.perf_counter() - t0)
         return forced
+
+
+def _sampled_rows(fids: np.ndarray, sample_fids: np.ndarray) -> np.ndarray:
+    """Row indices of the sampled fids within a sorted fid batch —
+    O(k log n) for k sampled fids, instead of masking the whole batch
+    per minute."""
+    pos = np.searchsorted(fids, sample_fids)
+    ok = pos < fids.size
+    pos = pos[ok]
+    return pos[fids[pos] == sample_fids[ok]]
 
 
 # -- threshold-scheme kernels ------------------------------------------------
@@ -980,24 +858,24 @@ class FleetStepper:
     time.
 
     Constructed fresh (``live=None``: compiles the policy into its
-    vectorized model, builds the sharded state) or from a restored
+    vectorized model, builds the columnar state) or from a restored
     session-snapshot payload (``live=`` the dict from
     :meth:`SimulationState.restore` — the whole columnar state graph,
-    shards and compiled model included, comes back as one pickle so
+    reducer and compiled model included, comes back as one pickle so
     shared identities survive). Batch runs (:func:`run_fleet`) feed it
     every minute from the sparse event table; sessions
     (:mod:`repro.serve.session`) call :meth:`step` one ``advance()`` at
     a time — the per-minute body is the same code either way, so a
     stepped replay is bit-identical to the batch run by construction.
 
-    Entry validation (``measure_overhead``, shard count,
-    checkpoint/resume rejection for batch runs) stays with the callers;
+    Entry validation (``measure_overhead``, checkpoint/resume rejection
+    for batch runs) stays with the callers;
     the stepper assumes a config it can honor.
     """
 
     engine = "fleet"
 
-    def __init__(self, sim, shards: int = 1, *, live: dict | None = None):
+    def __init__(self, sim, *, live: dict | None = None):
         cfg = sim.config
         trace = sim.trace
         self.sim = sim
@@ -1010,10 +888,7 @@ class FleetStepper:
             self.events = EventLog() if cfg.record_events else None
             self.obs = (
                 FleetObsSession(
-                    cfg.observe,
-                    n_functions=n_fn,
-                    n_shards=max(1, min(shards, n_fn)),
-                    horizon=self.horizon,
+                    cfg.observe, n_functions=n_fn, horizon=self.horizon
                 )
                 if cfg.observe is not None
                 else None
@@ -1027,11 +902,9 @@ class FleetStepper:
             self.model = _compile_policy(policy, n_fn, cfg.keep_alive_window)
             self.tables = VariantTables(sim.assignment, n_fn)
             self.fleet = FleetShards(
-                n_fn, shards, cfg.keep_alive_window, self.tables, self.model,
+                n_fn, cfg.keep_alive_window, self.tables, self.model,
                 cfg.capacity_seed,
             )
-            if self.obs is not None and self.obs.has_sample:
-                self.fleet.bind_sample(self.obs.sample_fids)
             self.pool = (
                 ContainerPool(self.events)
                 if (cfg.track_containers or cfg.record_events)
@@ -1055,7 +928,7 @@ class FleetStepper:
             )
             self.next_minute = 0
         else:
-            # Single-payload restore: the sharded columnar state, the
+            # Single-payload restore: the columnar state, the
             # compiled model and the variant tables come back with their
             # shared identities intact; attach_observability/bind and
             # _compile_policy are NOT re-run.
@@ -1137,8 +1010,7 @@ class FleetStepper:
         accuracy_sum = self.accuracy_sum
         n_cold = self.n_cold
 
-        for shard in fleet.shards:
-            shard.begin_minute(t)
+        fleet.begin_minute(t)
 
         if pool is not None:
             # Pre-warm pass (reference order: every fid, ascending).
@@ -1148,41 +1020,22 @@ class FleetStepper:
             # the reference loop's per-fid reconcile; the lean fleet path
             # has pool=None and never enters this branch
             for fid in range(n_fn):
-                pool.reconcile(fid, fleet.shard_for(fid).variant_at(fid, t), t)
+                pool.reconcile(fid, fleet.variant_at(fid, t), t)
             if spans is not None:
                 spans.add("pool-reconcile", time.perf_counter() - t_pool)
 
         n_events = int(inv_fids.size)
         if n_events:
+            t_serve = time.perf_counter() if spans is not None else 0.0
             if pool is None and events is None:
-                # Lean serving: vectorized per shard, folded sequentially
-                # so the accumulators match the reference's scalar adds.
-                offsets = fleet.split(inv_fids)
-                service_parts = []
-                accuracy_parts = []
-                for i, shard in enumerate(fleet.shards):
-                    a, b = int(offsets[i]), int(offsets[i + 1])
-                    if a == b:
-                        continue
-                    lf = inv_fids[a:b] - shard.lo
-                    t_serve = time.perf_counter() if spans is not None else 0.0
-                    svc, acc, cold = shard.serve(
-                        lf, inv_counts[a:b], t, injector, obs
-                    )
-                    if spans is not None:
-                        spans.add(
-                            shard.span_prefix + "/serve",
-                            time.perf_counter() - t_serve,
-                        )
-                    n_cold += cold
-                    service_parts.append(svc)
-                    accuracy_parts.append(acc)
-                service_time = seq_fold(
-                    service_time, np.concatenate(service_parts)
+                # Lean serving: vectorized, folded sequentially so the
+                # accumulators match the reference's scalar adds.
+                svc, acc, cold = fleet.serve(
+                    inv_fids, inv_counts, t, injector, obs
                 )
-                accuracy_sum = seq_fold(
-                    accuracy_sum, np.concatenate(accuracy_parts)
-                )
+                n_cold += cold
+                service_time = seq_fold(service_time, svc)
+                accuracy_sum = seq_fold(accuracy_sum, acc)
             else:
                 # Compatibility serving: the reference loop's exact call
                 # and event order, per invoking fid ascending.
@@ -1193,10 +1046,9 @@ class FleetStepper:
                 for i in range(n_events):
                     fid = int(inv_fids[i])
                     count = int(inv_counts[i])
-                    shard = fleet.shard_for(fid)
-                    level = shard.level_at(fid, t)
+                    level = fleet.level_at(fid, t)
                     if level < 0:
-                        cold_level = int(shard.cold_levels[fid - shard.lo])
+                        cold_level = int(fleet.cold_levels[fid])
                         variant = tables.variant(
                             int(tables.fam_idx[fid]), cold_level
                         )
@@ -1221,15 +1073,13 @@ class FleetStepper:
                         n_cold += 1
                         accuracy_sum += count * variant.accuracy
                         if obs is not None:
-                            obs.tally_serve(
-                                int(fleet.shard_index[fid]), count, 1
-                            )
+                            obs.tally_serve(count, 1)
                         if fid_rec is not None:
                             fid_rec.record_cold(
                                 t, fid, variant.name, count,
                                 fid_rec.last_seen(fid),
                             )
-                        shard.ring.mark_alive_one(fid - shard.lo, t, cold_level)
+                        fleet.ring.mark_alive_one(fid, t, cold_level)
                         if pool is not None:
                             pool.cold_start(fid, variant, t)
                             pool.record_served(fid, count)
@@ -1250,30 +1100,25 @@ class FleetStepper:
                         service_time += count * variant.warm_service_time_s
                         accuracy_sum += count * variant.accuracy
                         if obs is not None:
-                            obs.tally_serve(
-                                int(fleet.shard_index[fid]), count, 0
-                            )
+                            obs.tally_serve(count, 0)
                         if pool is not None:
                             pool.record_served(fid, count)
                         if events is not None:
                             events.emit(
                                 t, EventKind.WARM_START, fid, variant.name, count
                             )
+            if spans is not None:
+                spans.add("serve", time.perf_counter() - t_serve)
             self.n_invocations += int(inv_counts.sum())
 
-            # Estimator feed + plan installation — batched per shard in
-            # both modes. (Safe to run after the serve loop: plans only
-            # write minutes t+1.., and each function's estimator state is
-            # independent, so the interleaved reference order and this
-            # batched order reach identical state.)
-            offsets = fleet.split(inv_fids)
-            for i, shard in enumerate(fleet.shards):
-                a, b = int(offsets[i]), int(offsets[i + 1])
-                if a == b:
-                    continue
-                shard.observe_and_plan(inv_fids[a:b] - shard.lo, t, model, obs)
+            # Estimator feed + plan installation — batched in both modes.
+            # (Safe to run after the serve loop: plans only write minutes
+            # t+1.., and each function's estimator state is independent,
+            # so the interleaved reference order and this batched order
+            # reach identical state.)
+            fleet.observe_and_plan(inv_fids, t, obs)
 
-        # Cross-function review (peak flattening) on the merged state.
+        # Cross-function review (peak flattening).
         if self.is_pulse:
             if model.enable_global:
                 fleet.review(t, events, obs)
@@ -1281,7 +1126,7 @@ class FleetStepper:
                 assert fleet.detector is not None
                 fleet.detector.observe(fleet.memory_at(t))
 
-        # Provider pressure valve on the merged state.
+        # Provider pressure valve.
         if self.valve_on:
             cap_t = (
                 self.capacity
@@ -1298,7 +1143,7 @@ class FleetStepper:
             # ContainerPool is attached): the commit-side mirror of the
             # pre-warm reconcile above; pool=None on the lean fleet path
             for fid in range(n_fn):
-                pool.reconcile(fid, fleet.shard_for(fid).variant_at(fid, t), t)
+                pool.reconcile(fid, fleet.variant_at(fid, t), t)
             pool.tick_all()
             if spans is not None:
                 spans.add("pool-reconcile", time.perf_counter() - t_pool)
@@ -1340,15 +1185,15 @@ class FleetStepper:
         if met is not None:
             assert obs is not None
             # The shared cross-engine metric names, fed from the columnar
-            # partials. The loop engines label invocation/cold counters
-            # per function; per-function series cannot scale to 100k
-            # fids, so the fleet labels them per shard — totals stay
-            # identical for any shard count (exact integer partials).
-            _inv = met.counter("invocations_total", "invocations served")
-            _cold = met.counter("cold_starts_total", "user-visible cold starts")
-            for i in range(len(fleet.shards)):
-                _inv.labels(shard=i).inc(int(obs.shard_invocations[i]))
-                _cold.labels(shard=i).inc(int(obs.shard_cold[i]))
+            # totals. The loop engines label invocation/cold counters per
+            # function; per-function series cannot scale to 100k fids, so
+            # the fleet reports them unlabelled.
+            met.counter("invocations_total", "invocations served").inc(
+                obs.n_invocations
+            )
+            met.counter("cold_starts_total", "user-visible cold starts").inc(
+                obs.n_cold
+            )
             met.counter("warm_starts_total", "invocations served warm").inc(
                 n_invocations - n_cold
             )
@@ -1390,7 +1235,7 @@ class FleetStepper:
         return self._result
 
 
-def validate_fleet_config(cfg, shards: int) -> None:
+def validate_fleet_config(cfg) -> None:
     """Entry validation shared by :func:`run_fleet` and the session
     layer: reject configs the columnar engine cannot honor."""
     if cfg.measure_overhead:
@@ -1399,15 +1244,13 @@ def validate_fleet_config(cfg, shards: int) -> None:
             "metric needs the reference loop's per-minute decision "
             "cadence); use engine='auto' or 'reference'"
         )
-    if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-        raise ValueError(f"shards must be a positive int, got {shards!r}")
 
 
-def run_fleet(sim, shards: int = 1, checkpoint=None, resume_from=None) -> RunResult:
-    """Execute ``sim`` on the fleet engine with ``shards`` shards.
+def run_fleet(sim, checkpoint=None, resume_from=None) -> RunResult:
+    """Execute ``sim`` on the fleet engine.
 
-    Called by :meth:`Simulation.run` — use ``run(engine="fleet",
-    shards=...)`` (or :func:`repro.api.simulate`) rather than calling
+    Called by :meth:`Simulation.run` — use ``run(engine="fleet")`` (or
+    :func:`repro.api.simulate`) rather than calling
     this directly. A thin driver over :class:`FleetStepper`: extracts
     the sparse minute-major event table once, then feeds the stepper
     every minute.
@@ -1417,12 +1260,12 @@ def run_fleet(sim, shards: int = 1, checkpoint=None, resume_from=None) -> RunRes
             "engine='fleet' does not support checkpoint/resume; use "
             "engine='reference' or 'fast'"
         )
-    validate_fleet_config(sim.config, shards)
+    validate_fleet_config(sim.config)
 
     trace = sim.trace
     horizon = trace.horizon
     counts = trace.counts
-    stepper = FleetStepper(sim, shards)
+    stepper = FleetStepper(sim)
 
     # Sparse minute-major event table: the per-minute kernels index only
     # the invoking functions (fid-ascending within each minute, matching

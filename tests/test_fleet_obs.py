@@ -1,4 +1,4 @@
-"""Fleet observability: bit-identity, shard invariance, sampled traces.
+"""Fleet observability: bit-identity, run totals, sampled traces.
 
 The fleet engine's telemetry contract has three legs, all tested here:
 
@@ -6,10 +6,10 @@ The fleet engine's telemetry contract has three legs, all tested here:
   columnar state — no RNG draws, no float-accumulation reorder — so a
   fleet run with ``observe=True`` must be bit-identical to ``observe=None``
   in every deterministic ``RunResult`` field and in the event stream,
-  for any shard count, including under capacity-valve pressure.
-- **Metric totals are shard-invariant.** The per-shard int64 partials
-  merge exactly, so ``shards=1`` and ``shards=k`` report the same
-  invocation/cold/plan/downgrade totals.
+  including under capacity-valve pressure and with sampled fids.
+- **Telemetry totals match the run.** The columnar invocation/cold
+  totals and the per-minute downgrade/valve series add up to the
+  ``RunResult`` counts.
 - **Sampled decision traces answer why-queries.** A deterministic
   sample of fids keeps full ``record_*`` streams (plans, colds,
   ``Uv = Ai + Pr + Ip`` downgrade candidate tables) that flow through
@@ -38,15 +38,13 @@ from repro.obs.fleet import CANDIDATE_CAP, FleetObsSession
 from repro.obs.inspect import TraceIndex
 from repro.obs.report import render_run_report
 from repro.obs.session import ObservabilityConfig
+from repro.runtime.events import EventKind
 from repro.runtime.simulator import Simulation, SimulationConfig
 from tests.test_engine_fastpath import assert_identical
 
-SHARD_COUNTS = (1, 2, 7)
-
-
-def fleet_run(trace, assignment, cfg, shards):
+def fleet_run(trace, assignment, cfg):
     return Simulation(trace, assignment, PulsePolicy(), cfg).run(
-        engine="fleet", shards=shards
+        engine="fleet"
     )
 
 
@@ -54,44 +52,47 @@ def fleet_run(trace, assignment, cfg, shards):
 # Leg 1: obs-on == obs-off, bit for bit
 # ---------------------------------------------------------------------------
 class TestObsBitIdentity:
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_lean_config(self, small_trace, assignment, shards):
+    @pytest.mark.parametrize("trace_sample", [1, 2, 7])
+    def test_lean_config(self, small_trace, assignment, trace_sample):
+        # Lean serving reads the sampled fids for cold/plan records; a
+        # partial sample exercises that lookup on every batch.
         cfg = SimulationConfig(record_series=False, track_containers=False)
         off = fleet_run(trace=small_trace, assignment=assignment,
-                        cfg=replace(cfg, observe=None), shards=shards)
-        on = fleet_run(trace=small_trace, assignment=assignment,
-                       cfg=replace(cfg, observe=True), shards=shards)
+                        cfg=replace(cfg, observe=None))
+        on = fleet_run(
+            trace=small_trace, assignment=assignment,
+            cfg=replace(
+                cfg, observe=ObservabilityConfig(trace_sample=trace_sample)
+            ),
+        )
         assert_identical(off, on)
 
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_events_and_valve(self, small_trace, assignment, shards):
+    def test_events_and_valve(self, small_trace, assignment):
         cfg = SimulationConfig(
             record_events=True, memory_capacity_mb=4000.0, capacity_seed=11
         )
-        off = fleet_run(small_trace, assignment, replace(cfg, observe=None),
-                        shards)
+        off = fleet_run(small_trace, assignment, replace(cfg, observe=None))
         on = fleet_run(
             small_trace, assignment,
             replace(cfg, observe=ObservabilityConfig(trace_sample=12)),
-            shards,
         )
         assert_identical(off, on)  # includes the event stream
 
     def test_summary_identical_modulo_wall_clock(self, small_trace, assignment):
         cfg = SimulationConfig(record_series=False, track_containers=False)
-        off = fleet_run(small_trace, assignment, replace(cfg, observe=None), 4)
-        on = fleet_run(small_trace, assignment, replace(cfg, observe=True), 4)
+        off = fleet_run(small_trace, assignment, replace(cfg, observe=None))
+        on = fleet_run(small_trace, assignment, replace(cfg, observe=True))
         s_off, s_on = off.summary(), on.summary()
         s_off.pop("wall_clock_s"), s_on.pop("wall_clock_s")
         assert s_off == s_on
 
 
 # ---------------------------------------------------------------------------
-# Leg 2: metric totals are shard-invariant
+# Leg 2: telemetry totals match the run
 # ---------------------------------------------------------------------------
-class TestShardInvariantMetrics:
+class TestFleetTotals:
     @pytest.fixture(scope="class")
-    def sessions(self, small_trace):
+    def result(self, small_trace):
         from repro.experiments.assignments import sample_assignment
         from repro.models.zoo import default_zoo
 
@@ -99,52 +100,39 @@ class TestShardInvariantMetrics:
             small_trace.n_functions, default_zoo(), seed=1
         )
         cfg = SimulationConfig(
-            observe=True, memory_capacity_mb=4000.0, capacity_seed=11
+            observe=True, record_events=True, memory_capacity_mb=4000.0,
+            capacity_seed=11,
         )
-        return {
-            s: fleet_run(small_trace, assignment, cfg, s).obs
-            for s in SHARD_COUNTS
-        }
+        return fleet_run(small_trace, assignment, cfg)
 
-    def test_sessions_are_fleet(self, sessions):
-        assert all(
-            isinstance(o, FleetObsSession) for o in sessions.values()
-        )
+    def test_sessions_are_fleet(self, result):
+        assert isinstance(result.obs, FleetObsSession)
 
-    def test_totals_match_single_shard(self, sessions):
-        base = sessions[1]
-        for s, obs in sessions.items():
-            assert obs.shard_invocations.sum() == base.shard_invocations.sum()
-            assert obs.shard_cold.sum() == base.shard_cold.sum()
-            np.testing.assert_array_equal(
-                obs.plan_level_counts, base.plan_level_counts
-            )
-            np.testing.assert_array_equal(
-                obs.downgrade_series, base.downgrade_series
-            )
-            np.testing.assert_array_equal(
-                obs.valve_series, base.valve_series
-            )
-            np.testing.assert_array_equal(obs.mem_series, base.mem_series)
-            assert obs.n_peaks == base.n_peaks
-
-    def test_per_shard_partials_cover_the_fleet(self, sessions):
-        # Each shard contributes, and the shard axis matches the run.
-        obs = sessions[7]
-        assert obs.shard_invocations.size == 7
-        assert (obs.shard_invocations > 0).all()
-
-    def test_totals_match_run_result(self, sessions, small_trace):
-        obs = sessions[2]
-        # shard_invocations tallies arrivals; mem series covers horizon.
+    def test_totals_match_run_result(self, result, small_trace):
+        obs = result.obs
+        assert obs.n_invocations == result.n_invocations
+        assert obs.n_cold == result.n_cold
+        assert obs.n_invocations == int(small_trace.counts.sum())
         assert obs.mem_series.size == small_trace.horizon
+        np.testing.assert_array_equal(
+            obs.mem_series, result.memory_series_mb
+        )
 
-    def test_span_tree_names_shards_and_reducer(self, sessions):
-        tree = sessions[2].spans.tree()
-        assert "shard-0" in tree and "shard-1" in tree
-        assert "observe" in tree["shard-0"]["children"]
-        assert "plan" in tree["shard-0"]["children"]
-        assert "reduce" in tree
+    def test_series_sum_to_run_counts(self, result):
+        # DOWNGRADE events carry value 1.0 for a forced valve victim and
+        # 0.0 for an Algorithm-2 one.
+        obs = result.obs
+        kinds = [e.value for e in result.events.of_kind(EventKind.DOWNGRADE)]
+        n_alg2 = kinds.count(0.0)
+        assert n_alg2 > 0 and result.n_forced_downgrades > 0
+        assert int(obs.downgrade_series.sum()) == n_alg2
+        assert int(obs.valve_series.sum()) == result.n_forced_downgrades
+        assert kinds.count(1.0) == result.n_forced_downgrades
+
+    def test_span_tree_names_phases_and_reducer(self, result):
+        tree = result.obs.spans.tree()
+        for phase in ("serve", "observe", "plan", "reduce"):
+            assert phase in tree, phase
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +152,7 @@ class TestSampledTraces:
             observe=ObservabilityConfig(trace_sample=small_trace.n_functions)
         )
         return Simulation(small_trace, assignment, PulsePolicy(), cfg).run(
-            engine="fleet", shards=4
+            engine="fleet"
         )
 
     @pytest.fixture(scope="class")
@@ -176,11 +164,11 @@ class TestSampledTraces:
     def test_sample_is_deterministic(self, small_trace):
         a = FleetObsSession(
             ObservabilityConfig(trace_sample=4),
-            n_functions=100, n_shards=2, horizon=10,
+            n_functions=100, horizon=10,
         )
         b = FleetObsSession(
             ObservabilityConfig(trace_sample=4),
-            n_functions=100, n_shards=2, horizon=10,
+            n_functions=100, horizon=10,
         )
         np.testing.assert_array_equal(a.sample_fids, b.sample_fids)
         assert a.sample_fids.size == 4
@@ -198,7 +186,7 @@ class TestSampledTraces:
         )
         result = Simulation(
             small_trace, assignment, PulsePolicy(), cfg
-        ).run(engine="fleet", shards=4)
+        ).run(engine="fleet")
         obs = result.obs
         sampled = set(obs.sample_fids.tolist())
         fids = {
@@ -268,7 +256,7 @@ class TestStreamingSinks:
             observe=ObservabilityConfig(trace_sample=8)
         )
         return Simulation(small_trace, assignment, PulsePolicy(), cfg).run(
-            engine="fleet", shards=2
+            engine="fleet"
         )
 
     def test_streaming_writer_matches_batch_export(self, observed, tmp_path):
@@ -298,8 +286,8 @@ class TestStreamingSinks:
         text = render_prometheus(observed.obs)
         assert text.endswith("\n")
         assert "# TYPE invocations_total counter" in text
-        assert 'invocations_total{shard="0"}' in text
-        assert "# TYPE fleet_shards gauge" in text
+        assert f"invocations_total {observed.n_invocations}" in text
+        assert "# TYPE fleet_trace_sample gauge" in text
         # Histograms render as summary-style _count/_sum/_min/_max.
         assert "_count" in text and "_sum" in text
 
@@ -311,7 +299,7 @@ class TestStreamingSinks:
     def test_html_report_has_fleet_section(self, observed):
         html = render_run_report(observed)
         assert "Fleet telemetry" in html
-        assert "shard" in html
+        assert "observe ms" in html
         assert "sampled decision traces" in html
 
     def test_trace_records_roundtrip_fleet_session(self, observed):

@@ -22,6 +22,7 @@ from repro.runtime.checkpoint import (
     SimulationState,
 )
 from repro.runtime.simulator import SimulationConfig
+from repro.serve.session import ControlSession, open_session
 from repro.traces.schema import FunctionSpec, Trace
 
 ZOO = default_zoo()
@@ -180,15 +181,29 @@ class TestStatePersistence:
             checkpoint=CheckpointConfig(every_minutes=30,
                                         on_snapshot=states.append),
         )
-        stale = SimulationState(
-            engine=states[0].engine,
-            next_minute=states[0].next_minute,
-            cursor=states[0].cursor,
-            payload=states[0].payload,
-            schema_version=CHECKPOINT_SCHEMA_VERSION + 1,
+        session = open_session(
+            tiny_trace, assignment=tiny_assignment, policy="pulse",
+            engine="fleet",
         )
+        for _ in range(30):
+            session.advance()
+        states.append(session.snapshot())
+        assert states[-1].engine == "session:fleet"
+        for state in (states[0], states[-1]):
+            for version in (
+                CHECKPOINT_SCHEMA_VERSION - 1, CHECKPOINT_SCHEMA_VERSION + 1
+            ):
+                stale = SimulationState(
+                    engine=state.engine,
+                    next_minute=state.next_minute,
+                    cursor=state.cursor,
+                    payload=state.payload,
+                    schema_version=version,
+                )
+                with pytest.raises(ValueError, match="schema"):
+                    stale.restore()
         with pytest.raises(ValueError, match="schema"):
-            stale.restore()
+            ControlSession.restore(stale)
 
 
 class TestGuards:

@@ -2,8 +2,7 @@
 
 These tests run the stdlib ``ThreadingHTTPServer`` transport — the one
 that works in every environment — on an ephemeral loopback port and
-drive it with :mod:`urllib`. The FastAPI factory is exercised only for
-its import gate (fastapi is an optional extra and absent here).
+drive it with :mod:`urllib`.
 """
 
 from __future__ import annotations
@@ -139,6 +138,7 @@ class TestLifecycle:
             {"synthetic": {"n_functions": 4}, "meta": {"n_functions": 4}},
             {"synthetic": {"n_functions": 4}, "turbo": True},
             {"synthetic": {"n_functions": -1}},
+            {"synthetic": {"n_functions": 4}, "shards": 4},
         ]
         for spec in cases:
             status, body = request(f"{base_url}/v1/sessions", "POST", spec)
@@ -567,10 +567,3 @@ class TestManagerDirect:
         with pytest.raises(ApiError) as exc_info:
             SessionManager().info("missing")
         assert exc_info.value.status == 404
-
-    def test_fastapi_factory_gated(self):
-        pytest.importorskip("fastapi", reason="optional extra")
-        from repro.serve.app import create_fastapi_app
-
-        app = create_fastapi_app()
-        assert app is not None

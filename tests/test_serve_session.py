@@ -170,13 +170,6 @@ class TestAdvanceSemantics:
                 engine="turbo",
             )
 
-    def test_shards_require_fleet(self, tiny_trace, tiny_assignment):
-        with pytest.raises(ValueError, match="fleet"):
-            open_session(
-                tiny_trace, policy="pulse", assignment=tiny_assignment,
-                shards=4,
-            )
-
 
 class TestDecisions:
     def test_decisions_carry_engine_records(self, tiny_trace, tiny_assignment):
