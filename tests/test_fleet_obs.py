@@ -67,14 +67,19 @@ class TestObsBitIdentity:
         )
         assert_identical(off, on)
 
-    def test_events_and_valve(self, small_trace, assignment):
+    @pytest.mark.parametrize("trace_sample", [1, 2, 7])
+    def test_events_and_valve(self, small_trace, assignment, trace_sample):
+        # Valve pressure with the event stream on; the sample density
+        # varies which fids take the recording path during eviction.
         cfg = SimulationConfig(
             record_events=True, memory_capacity_mb=4000.0, capacity_seed=11
         )
         off = fleet_run(small_trace, assignment, replace(cfg, observe=None))
         on = fleet_run(
             small_trace, assignment,
-            replace(cfg, observe=ObservabilityConfig(trace_sample=12)),
+            replace(
+                cfg, observe=ObservabilityConfig(trace_sample=trace_sample)
+            ),
         )
         assert_identical(off, on)  # includes the event stream
 
