@@ -20,8 +20,6 @@ from __future__ import annotations
 from time import perf_counter
 
 import numpy as np
-from scipy.optimize import LinearConstraint, milp
-from scipy.sparse import csr_matrix
 
 from repro.core.pulse import PulseConfig, PulsePolicy
 from repro.milp.formulation import MilpProblem, build_peak_milp
@@ -42,6 +40,10 @@ def solve_milp(problem: MilpProblem) -> dict[int, int | None]:
     n = problem.n_variables
     if n == 0:
         return {}
+    # Imported here so importing the policy registry never loads scipy.
+    from scipy.optimize import LinearConstraint, milp
+    from scipy.sparse import csr_matrix
+
     # Feasibility floor: protected functions must keep >= lowest variant.
     floor = sum(
         min(problem.memory[i] for i in problem.function_rows[fid])

@@ -54,17 +54,14 @@ __all__ = ["KeepAliveSchedule"]
 class KeepAliveSchedule:
     """Minute-indexed keep-alive decisions for every function.
 
-    ``horizon_hint`` pre-sizes the memory vector (the engine passes
-    ``trace.horizon + window``); the vector grows on demand when plans
-    reach beyond it, so the hint is purely an allocation optimization.
+    The per-minute ledger starts one keep-alive window long and doubles
+    whenever a write reaches past it, so its size follows the minutes
+    actually planned, not the trace's declared horizon: an online session
+    declared for 14 days but advanced for an hour holds about an hour of
+    ledger.
     """
 
-    def __init__(
-        self,
-        n_functions: int,
-        keep_alive_window: int = 10,
-        horizon_hint: int | None = None,
-    ):
+    def __init__(self, n_functions: int, keep_alive_window: int = 10):
         check_positive_int("n_functions", n_functions)
         check_positive_int("keep_alive_window", keep_alive_window)
         self.n_functions = n_functions
@@ -80,7 +77,7 @@ class KeepAliveSchedule:
         # set_plan only needs to write the net-new tail. Any other write
         # path (downgrade/clear/mark_alive) invalidates the record.
         self._last_plan: list[tuple | None] = [None] * n_functions
-        size = max(horizon_hint or 0, 0) + keep_alive_window + 2
+        size = keep_alive_window + 2
         # Count ledger: per minute, {footprint MB -> number of live
         # entries}. The float value in _mem is the canonical fold of that
         # dict (ascending footprints); minutes in _dirty have stale floats

@@ -468,9 +468,7 @@ class ReferenceStepper:
                 policy.attach_observability(self.obs, self.events)
             policy.bind(trace, sim.assignment, cfg.keep_alive_window)
             self.policy = policy
-            self.schedule = KeepAliveSchedule(
-                n_fn, cfg.keep_alive_window, horizon_hint=self.horizon
-            )
+            self.schedule = KeepAliveSchedule(n_fn, cfg.keep_alive_window)
             self.pool = (
                 ContainerPool(self.events)
                 if (cfg.track_containers or cfg.record_events)

@@ -648,6 +648,10 @@ def make_server(
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Headers and body go out in two writes; with Nagle on, the
+        # second waits for the client's delayed ACK (~40 ms per request
+        # on a kept-alive connection).
+        disable_nagle_algorithm = True
         # Socket timeout for the whole exchange: a client that stalls
         # mid-headers or mid-body cannot pin a worker thread forever.
         timeout = limits.read_timeout_s

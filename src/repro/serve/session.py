@@ -22,8 +22,11 @@ Two workload modes share the API:
   ``advance()`` feeds each minute's invocations from the trace.
 - **Online** — open with a :class:`TraceMeta` (fleet size + horizon);
   the caller supplies each minute's invocations to ``advance()`` as they
-  arrive. The oracle baseline and trace-perturbing fault plans are
-  rejected here (both need the full future trace).
+  arrive. The placeholder trace is :meth:`Trace.idle
+  <repro.traces.schema.Trace.idle>`, O(1) in the horizon, so a session's
+  memory, fingerprint and snapshots scale with the traffic that arrives,
+  not with the declared shape. The oracle baseline and trace-perturbing
+  fault plans are rejected here (both need the full future trace).
 
 ``snapshot()`` captures the session as a
 :class:`~repro.runtime.checkpoint.SimulationState` (the engine
@@ -80,15 +83,13 @@ class TraceMeta:
         check_positive_int("horizon_minutes", self.horizon_minutes)
 
     def to_trace(self) -> Trace:
-        """An all-idle placeholder trace of this shape."""
-        counts = np.zeros(
-            (self.n_functions, self.horizon_minutes), dtype=np.int64
-        )
+        """An all-idle placeholder trace of this shape (O(1) counts; see
+        :meth:`Trace.idle <repro.traces.schema.Trace.idle>`)."""
         functions = tuple(
             FunctionSpec(fid, f"fn-{fid:05d}", archetype="online")
             for fid in range(self.n_functions)
         )
-        return Trace(counts=counts, functions=functions, name=self.name)
+        return Trace.idle(functions, self.horizon_minutes, name=self.name)
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,7 @@ class ControlSession:
         self.horizon = sim.trace.horizon
         self.n_functions = sim.trace.n_functions
         self.online = online
+        self._idle = sim.trace.is_idle
         self._wall = 0.0
         self._span_added = False
         # The three steppers share the stepping surface by convention,
@@ -226,10 +228,8 @@ class ControlSession:
                 f"({self.horizon} minutes)"
             )
         t0 = perf_counter()
-        counts = self.trace.counts
         for t in range(start, minute):
-            fids = np.flatnonzero(counts[:, t])
-            self._step(t, fids, counts[fids, t])
+            self._step(t, *self._trace_minute(t))
         obs = stepper.obs
         n_rec = len(obs.records) if obs is not None else 0
         inv0 = stepper.n_invocations
@@ -263,8 +263,11 @@ class ControlSession:
         counts = self.trace.counts
         start = stepper.next_minute
         if self.engine == "fast" and start < self.horizon:
-            ev_t, ev_fid = np.nonzero(counts.T)
-            ev_count = counts.T[ev_t, ev_fid]
+            if self._idle:  # no arrivals: skip the n × horizon scan
+                ev_t = ev_fid = ev_count = np.empty(0, dtype=np.int64)
+            else:
+                ev_t, ev_fid = np.nonzero(counts.T)
+                ev_count = counts.T[ev_t, ev_fid]
             k = int(np.searchsorted(ev_t, start))
             group_ends = np.flatnonzero(np.diff(ev_t[k:])) + 1
             begin = 0
@@ -283,8 +286,7 @@ class ControlSession:
             stepper.idle_span(stepper.prev_t + 1, self.horizon)
         else:
             for t in range(start, self.horizon):
-                fids = np.flatnonzero(counts[:, t])
-                self._step(t, fids, counts[fids, t])
+                self._step(t, *self._trace_minute(t))
         self._wall += perf_counter() - t0
         return self.result()
 
@@ -336,14 +338,20 @@ class ControlSession:
         ``SimulationConfig`` (fault plan and observability included) and
         the trace content (shape + counts bytes — already perturbed if
         the fault plan perturbs traces, so a session rebuilt from the
-        same spec hashes identically). The serve-layer journal records
-        it at open and recovery refuses to replay advances against a
-        session that rebuilt differently — a spec or trace drift would
-        otherwise replay into silently different state.
+        same spec hashes identically). An idle online trace is named by
+        its shape alone, so hashing it never materializes its zeros.
+        The serve-layer journal records it at open and recovery refuses
+        to replay advances against a session that rebuilt differently —
+        a spec or trace drift would otherwise replay into silently
+        different state.
         """
         from repro.utils.atomicio import sha256_bytes
 
-        trace_sha = sha256_bytes(self.trace.counts.tobytes())
+        trace_sha = (
+            "idle"
+            if self._idle
+            else sha256_bytes(self.trace.counts.tobytes())
+        )
         identity = "|".join(
             (
                 self.engine,
@@ -419,6 +427,14 @@ class ControlSession:
 
     # -- engine dispatch ---------------------------------------------------
 
+    def _trace_minute(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Minute ``t``'s arrivals from the trace: ``(fids, counts)``."""
+        if self._idle:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        col = self.trace.counts[:, t]
+        fids = np.flatnonzero(col)
+        return fids, col[fids]
+
     def _step(self, t: int, fids: np.ndarray, fid_counts: np.ndarray) -> None:
         if self.engine == "fast":
             self.stepper.advance_minute(t, fids, fid_counts)
@@ -443,9 +459,7 @@ class ControlSession:
         invocations: Mapping[int, int] | Iterable[tuple[int, int]] | None,
     ) -> tuple[np.ndarray, np.ndarray]:
         if invocations is None:
-            col = self.trace.counts[:, t]
-            fids = np.flatnonzero(col)
-            return fids, col[fids]
+            return self._trace_minute(t)
         if isinstance(invocations, Mapping):
             items = list(invocations.items())
         else:

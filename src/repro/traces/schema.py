@@ -5,11 +5,17 @@ set of serverless functions — the same shape as the public Azure Functions
 dataset the paper uses (per-minute counts, 1440 columns per day). Minute
 resolution is exactly what PULSE consumes: the paper computes inter-arrival
 times "in minutes".
+
+:meth:`Trace.idle` builds the one sparse exception: an all-idle trace
+whose ``counts`` is a read-only zero-stride view, so its cost is O(1) in
+the horizon. Online serving sessions use it as their placeholder, and it
+pickles as its shape and function specs instead of ``n × horizon`` zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, SupportsIndex
 
 import numpy as np
 
@@ -120,8 +126,33 @@ class Trace:
     functions: tuple[FunctionSpec, ...]
     name: str = "trace"
     _invocation_minutes_cache: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
+
+    @classmethod
+    def idle(
+        cls,
+        functions: tuple[FunctionSpec, ...],
+        horizon: int,
+        name: str = "trace",
+    ) -> "Trace":
+        """An all-idle trace in O(1) memory: ``counts`` is a read-only
+        zero-stride view of a single zero (see :attr:`is_idle`)."""
+        check_positive_int("horizon", horizon)
+        counts = np.broadcast_to(np.int64(0), (len(functions), horizon))
+        return cls(counts=counts, functions=functions, name=name)
+
+    @property
+    def is_idle(self) -> bool:
+        """True for a trace built by :meth:`idle` (a zero-stride zero
+        view). A dense all-zero array is *not* idle in this sense: it
+        keeps its dense pickle and content hash."""
+        counts = self.counts
+        return (
+            counts.size > 0
+            and counts.strides == (0, 0)
+            and counts[0, 0] == 0
+        )
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts)
@@ -132,8 +163,11 @@ class Trace:
                 f"counts has {counts.shape[0]} rows but {len(self.functions)} "
                 "function specs were given"
             )
-        if counts.size and counts.min() < 0:
-            raise ValueError("counts must be non-negative")
+        if counts.size:
+            # A zero-stride view holds one value: check it, not n × horizon.
+            low = counts[0, 0] if counts.strides == (0, 0) else counts.min()
+            if low < 0:
+                raise ValueError("counts must be non-negative")
         if not np.issubdtype(counts.dtype, np.integer):
             if not np.allclose(counts, np.round(counts)):
                 raise ValueError("counts must be integral")
@@ -144,6 +178,13 @@ class Trace:
             raise ValueError(
                 "function_ids must be 0..n-1 in order, got " + repr(ids)
             )
+
+    def __reduce_ex__(self, protocol: SupportsIndex) -> str | tuple[Any, ...]:
+        # An idle trace pickles as its shape; every other trace takes the
+        # default dataclass pickle, byte for byte.
+        if self.is_idle:
+            return (Trace.idle, (self.functions, self.horizon, self.name))
+        return super().__reduce_ex__(protocol)
 
     # -- shape -----------------------------------------------------------
     @property
@@ -180,9 +221,12 @@ class Trace:
 
     def total_invocations(self, function_id: int | None = None) -> int:
         """Total invocations of one function (or of the whole trace)."""
+        if function_id is not None:
+            self._check_fid(function_id)
+        if self.is_idle:
+            return 0
         if function_id is None:
             return int(self.counts.sum())
-        self._check_fid(function_id)
         return int(self.counts[function_id].sum())
 
     # -- slicing ---------------------------------------------------------

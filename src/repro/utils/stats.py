@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -40,6 +39,10 @@ class SummaryStats:
 
 def summarize(values, confidence: float = 0.95) -> SummaryStats:
     """Mean/std and a t-interval for the mean of ``values``."""
+    # Imported here, not at module level: everything that imports
+    # repro.experiments (the server included) would otherwise load scipy.
+    from scipy import stats as sps
+
     check_fraction("confidence", confidence, inclusive=False)
     x = np.asarray(list(values), dtype=float)
     if x.size == 0:

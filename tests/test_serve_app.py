@@ -77,6 +77,33 @@ def request(url, method="GET", body=None, raw=False, headers=None):
 
 
 class TestLifecycle:
+    def test_kept_alive_connection_has_no_nagle_stall(self):
+        """Several requests on one kept-alive connection. With Nagle's
+        algorithm on, each reply's second write waits for the client's
+        delayed ACK: a ~40 ms stall per request."""
+        import http.client
+        import statistics
+
+        with running_server() as (_url, server):
+            assert server.RequestHandlerClass.disable_nagle_algorithm
+            host, port = server.server_address[:2]
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            times = []
+            try:
+                conn.connect()
+                sock = conn.sock
+                for _ in range(9):
+                    t0 = time.perf_counter()
+                    conn.request("GET", "/v1/healthz")
+                    resp = conn.getresponse()
+                    body = json.loads(resp.read())
+                    times.append(time.perf_counter() - t0)
+                    assert resp.status == 200 and body["status"] == "ok"
+                    assert conn.sock is sock  # the same connection
+            finally:
+                conn.close()
+        assert statistics.median(times[1:]) < 0.02
+
     def test_healthz(self, base_url):
         status, body = request(f"{base_url}/v1/healthz")
         assert (status, body) == (200, {"status": "ok"})

@@ -345,6 +345,97 @@ class TestOnlineMode:
         with pytest.raises(ValueError):
             TraceMeta(n_functions=3, horizon_minutes=-1)
 
+    def test_placeholder_trace_is_idle(self):
+        trace = TraceMeta(n_functions=3, horizon_minutes=20).to_trace()
+        assert trace.is_idle
+        assert trace.counts.shape == (3, 20)
+        assert trace.total_invocations() == 0
+
+    def test_fingerprint_names_the_idle_shape(self):
+        def fingerprint(n, horizon):
+            return open_session(TraceMeta(n, horizon), policy="pulse").fingerprint()
+
+        assert fingerprint(3, 40) == fingerprint(3, 40)
+        assert fingerprint(3, 40) != fingerprint(3, 41)
+        assert fingerprint(3, 40) != fingerprint(4, 40)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_idle_tail_replays_like_batch(self, zoo, engine):
+        """Explicit arrivals, then ``result()`` replays the idle rest of
+        the horizon: equal to ``simulate`` over the dense counts."""
+        import dataclasses
+
+        meta = TraceMeta(n_functions=4, horizon_minutes=60)
+        arrivals = {0: {0: 2, 3: 1}, 1: {1: 1}, 4: {0: 1}, 9: {2: 3}}
+        fams = list(zoo)
+        assignment = {i: fams[i % len(fams)] for i in range(4)}
+        online = open_session(
+            meta, policy="pulse", assignment=assignment, engine=engine
+        )
+        for minute, invocations in arrivals.items():
+            online.advance(minute, invocations)
+        trace = meta.to_trace()
+        counts = np.zeros_like(trace.counts)
+        for minute, invocations in arrivals.items():
+            for fid, n in invocations.items():
+                counts[fid, minute] = n
+        dense = dataclasses.replace(trace, counts=counts)
+        assert _comparable(online.result()) == _comparable(
+            _batch(dense, assignment, engine)
+        )
+
+
+class TestScaleGuards:
+    """Online sessions are sized by the traffic that arrives, not by
+    the declared horizon, and serving never imports scipy."""
+
+    def test_online_fleet_session_is_sized_by_traffic(self):
+        import tracemalloc
+
+        n, horizon = 10_000, 14 * 1440
+        dense_bytes = n * horizon * 8  # a dense int64 trace: 1.6 GB
+
+        def payload_bytes(declared: int) -> int:
+            session = open_session(TraceMeta(n, declared), engine="fleet")
+            for t in range(30):
+                session.advance(t, {(t * 337) % n: 1 + t % 3})
+            return len(session.snapshot().to_wire_json())
+
+        tracemalloc.start()
+        try:
+            big = payload_bytes(horizon)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 10
+        small = payload_bytes(1440)
+        # Per declared minute the snapshot grows by the engine's
+        # per-minute series only (tens of bytes), never by n × 8 bytes.
+        assert (big - small) / (horizon - 1440) < 64
+
+    def test_serving_imports_without_scipy(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = (
+            "import sys\n"
+            "import repro.cli, repro.serve.app, repro.experiments\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(
+            os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1])
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
 
 class TestFacadeShape:
     def test_open_session_is_keyword_only(self, tiny_trace, tiny_assignment):

@@ -1,5 +1,8 @@
 """Tests for repro.traces.schema."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -109,6 +112,64 @@ class TestTraceSlicing:
     def test_n_days(self):
         t = make_trace(np.zeros((1, MINUTES_PER_DAY * 2), dtype=np.int64))
         assert t.n_days == 2.0
+
+
+def _specs(n):
+    return tuple(FunctionSpec(function_id=i, name=f"f{i}") for i in range(n))
+
+
+class TestIdleTrace:
+    def test_counts_are_a_read_only_zero_stride_view(self):
+        t = Trace.idle(_specs(3), 1000, name="idle")
+        assert t.is_idle
+        assert t.counts.shape == (3, 1000)
+        assert t.counts.strides == (0, 0)
+        assert not t.counts.flags.writeable
+        assert (t.n_functions, t.horizon, t.name) == (3, 1000, "idle")
+        assert t.total_invocations() == 0
+        assert t.total_invocations(2) == 0
+        with pytest.raises(IndexError):
+            t.total_invocations(3)
+        assert t.invocation_minutes(1).size == 0
+
+    def test_pickles_as_its_shape(self):
+        big = Trace.idle(_specs(100), 100_000)
+        blob = pickle.dumps(big)
+        # Shape and specs only: far below the 80 MB of dense zeros.
+        assert len(blob) < 10_000
+        back = pickle.loads(blob)
+        assert back.is_idle
+        assert back.counts.shape == (100, 100_000)
+        assert back.functions == big.functions and back.name == big.name
+
+    def test_dense_zeros_are_not_idle(self):
+        dense = make_trace(np.zeros((2, 50), dtype=np.int64))
+        assert not dense.is_idle
+        back = pickle.loads(pickle.dumps(dense))
+        assert not back.is_idle
+        np.testing.assert_array_equal(back.counts, dense.counts)
+        assert back.counts.flags.writeable
+
+    def test_replace_with_dense_counts(self):
+        """``np.zeros_like`` + ``dataclasses.replace`` turn an idle trace
+        into an ordinary recorded one."""
+        idle = Trace.idle(_specs(2), 30)
+        idle.invocation_minutes(0)  # fill the cache before replacing
+        counts = np.zeros_like(idle.counts)
+        counts[0, 5] = 2
+        t = dataclasses.replace(idle, counts=counts)
+        assert not t.is_idle
+        assert t.total_invocations() == 2
+        np.testing.assert_array_equal(t.invocation_minutes(0), [5])
+
+    def test_broadcast_negative_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Trace(counts=np.broadcast_to(np.int64(-1), (2, 5)),
+                  functions=_specs(2))
+
+    def test_horizon_validated(self):
+        with pytest.raises(ValueError):
+            Trace.idle(_specs(2), 0)
 
 
 class TestFunctionSpec:
