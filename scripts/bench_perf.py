@@ -444,6 +444,21 @@ def _scaling_point(report: dict, n: int, engine: str) -> dict | None:
     return None
 
 
+def load_baseline(path: str) -> dict:
+    """The ``--baseline`` report, read before any timing starts so a
+    missing or unreadable file fails in a second with a message."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise SystemExit(
+            f"baseline {path} not found: pass the committed BENCH_perf.json "
+            "or write one with `scripts/bench_perf.py --quick`"
+        ) from None
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"baseline {path} is unreadable: {exc}") from None
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -488,6 +503,8 @@ def main() -> None:
         "--baseline",
     )
     args = parser.parse_args()
+
+    baseline = None if args.baseline is None else load_baseline(args.baseline)
 
     if args.point is not None:
         n, horizon, engine, point_repeats, obs = args.point
@@ -564,9 +581,7 @@ def main() -> None:
                 f"{point['overhead']:+.1%}, over the "
                 f"{args.gate_obs_overhead:.0%} gate"
             )
-    if args.baseline is not None:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
+    if baseline is not None:
         # Absolute fn-min/s are not comparable across machines (CI
         # runners are slower than wherever the baseline was produced),
         # so both sides are normalized by their own 12-fn fast sample —

@@ -35,11 +35,12 @@ pool charges warm minutes each minute, policies with a review stage
 (PULSE, MILP) feed their peak detector each minute via the O(1)
 :meth:`~repro.runtime.policy.KeepAlivePolicy.idle_review` hook (falling
 back to the full review exactly on peak minutes), and the capacity
-valve checks the ledger each minute (O(1) per check). The schedule is
-never pruned mid-run: the reference loop pays an ``advance()`` per
-minute to forget past entries, but the fast loop's reads are all keyed
-by exact minute, so stale entries are simply left in place (memory stays
-bounded by the total number of planned entries, ~invocations x window).
+valve checks the ledger each minute (O(1) per check). The reference
+loop pays an ``advance()`` per minute to forget past entries; the fast
+loop calls it at an event minute once the frontier lags by more than a
+keep-alive window, so an entry map holds at most two windows (one
+planned ahead, at most one behind) and checkpoints stay small on long
+runs, for one pass over the functions per window instead of per minute.
 
 Metric equivalence with the reference loop is bit-exact — the floating
 point accumulations happen in the same order over the same values — and
@@ -394,6 +395,11 @@ class FastStepper:
         observe_invocation = policy.observe_invocation
         plan_fn = policy.plan
         set_plan = schedule.set_plan
+
+        if t - schedule.frontier > schedule.keep_alive_window:
+            # Every minute before t is accounted and never read again:
+            # forget it, once per keep-alive window rather than per minute.
+            schedule.advance(t)
 
         if pool is not None:  # pre-warm pass before invocations arrive
             if self.spans is None:

@@ -71,12 +71,18 @@ class KeepAliveSchedule:
             {} for _ in range(n_functions)
         ]
         # Per function: (plan_object, invocation_minute, is_uniform) of the
-        # last set_plan, or None. When a policy re-installs the *same*
+        # last set_plan, or None; is_uniform is None until the object is
+        # re-installed. When a policy re-installs the *same*
         # uniform plan object (fixed policies cache theirs), the minutes
         # covered by the previous install already hold its variant, so
         # set_plan only needs to write the net-new tail. Any other write
         # path (downgrade/clear/mark_alive) invalidates the record.
         self._last_plan: list[tuple | None] = [None] * n_functions
+        # Per function: an upper bound on the minutes holding an entry.
+        # Writes raise it, removals leave it alone. set_plan needs no
+        # lookup past it (the minutes there are empty), and downgrade and
+        # advance walk no further.
+        self._hi: list[int] = [-1] * n_functions
         size = keep_alive_window + 2
         # Count ledger: per minute, {footprint MB -> number of live
         # entries}. The float value in _mem is the canonical fold of that
@@ -89,6 +95,19 @@ class KeepAliveSchedule:
         # advance(); used to pop them in O(1) per minute instead of
         # rescanning every entry map.
         self._frontier = 0
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if "_hi" not in state:
+            # Pickled before the bounds existed: the highest stored
+            # minute is a valid one.
+            self._hi = [max(e, default=-1) for e in self._entries]
+
+    @property
+    def frontier(self) -> int:
+        """Entries strictly before this minute have been forgotten by
+        :meth:`advance`."""
+        return self._frontier
 
     # -- count-ledger internals ---------------------------------------------
     def _ensure(self, minute: int) -> None:
@@ -146,6 +165,8 @@ class KeepAliveSchedule:
             raise ValueError(f"minute must be >= 0, got {minute}")
         self._ensure(minute)
         self._last_plan[function_id] = None
+        if minute > self._hi[function_id]:
+            self._hi[function_id] = minute
         entries = self._entries[function_id]
         old = entries.get(minute)
         if old is not None:
@@ -189,24 +210,33 @@ class KeepAliveSchedule:
         get = entries.get
 
         last = self._last_plan[function_id]
+        uniform = None
         if (
             last is not None
             and last[0] is plan
-            and last[2]  # uniform: offsets are interchangeable
             and invocation_minute >= last[1]
             # advance() may have pruned minutes <= frontier - 1; the reused
             # span [invocation_minute + 1, last[1] + n] is intact as long
             # as the frontier never moved past the current minute.
             and self._frontier <= invocation_minute + 1
         ):
+            uniform = last[2]
+            if uniform is None:  # first re-install: classify the plan once
+                v0 = plan[0] if n else None
+                uniform = v0 is not None and all(v is v0 for v in plan)
+        if uniform:
             # Same uniform plan object re-installed at a later minute:
             # minutes up to last[1] + n already hold its variant (no other
             # write path touched them, or the record would be None), so
-            # only the net-new tail needs the generic treatment.
-            start = last[1] + n + 1
+            # only the net-new tail needs the generic treatment. After a
+            # gap (invocation_minute > last[1] + n) that tail is the whole
+            # plan.
+            start = max(last[1] + n, invocation_minute) + 1
             self._last_plan[function_id] = (plan, invocation_minute, True)
             if start > invocation_minute + n:
                 return
+            if invocation_minute + n > self._hi[function_id]:
+                self._hi[function_id] = invocation_minute + n
             variant = plan[0]
             fp = variant.memory_mb
             for m in range(start, invocation_minute + n + 1):
@@ -228,40 +258,51 @@ class KeepAliveSchedule:
                     dirty.add(m)
             return
 
-        uniform = True
-        v0 = plan[0] if n else None
+        hi = self._hi[function_id]
+        # Offsets up to the bound may overwrite or clear an entry; past it
+        # every minute is empty, so a None costs nothing and a variant is
+        # a plain insert.
+        split = hi - invocation_minute
         m = invocation_minute
-        for variant in plan:
-            m += 1
-            if variant is not v0:
-                uniform = False
-            old = get(m)
-            if variant is None:
-                if old is not None:
-                    del entries[m]
-                    self._remove(m, old.memory_mb)
-            elif old is None:
-                entries[m] = variant
-                d = counts[m]
-                fp = variant.memory_mb
-                d[fp] = d.get(fp, 0) + 1
-                dirty.add(m)
-            elif old is not variant and old != variant:
-                entries[m] = variant
-                d = counts[m]
-                c = d[old.memory_mb] - 1
-                if c:
-                    d[old.memory_mb] = c
-                else:
-                    del d[old.memory_mb]
-                fp = variant.memory_mb
-                d[fp] = d.get(fp, 0) + 1
-                dirty.add(m)
-        self._last_plan[function_id] = (
-            plan,
-            invocation_minute,
-            uniform and v0 is not None,  # all-None plans stay on the generic path
-        )
+        if split > 0:
+            for variant in plan if split >= n else plan[:split]:
+                m += 1
+                if variant is None:
+                    if m in entries:
+                        self._remove(m, entries.pop(m).memory_mb)
+                    continue
+                old = get(m)
+                if old is None:
+                    entries[m] = variant
+                    d = counts[m]
+                    fp = variant.memory_mb
+                    d[fp] = d.get(fp, 0) + 1
+                    dirty.add(m)
+                elif old is not variant and old != variant:
+                    entries[m] = variant
+                    d = counts[m]
+                    c = d[old.memory_mb] - 1
+                    if c:
+                        d[old.memory_mb] = c
+                    else:
+                        del d[old.memory_mb]
+                    fp = variant.memory_mb
+                    d[fp] = d.get(fp, 0) + 1
+                    dirty.add(m)
+        if split < n:
+            for variant in plan[split:] if split > 0 else plan:
+                m += 1
+                if variant is not None:
+                    entries[m] = variant
+                    d = counts[m]
+                    fp = variant.memory_mb
+                    d[fp] = d.get(fp, 0) + 1
+                    dirty.add(m)
+                    hi = m
+            self._hi[function_id] = hi
+        # The uniformity of a fresh plan object is classified only if it
+        # is ever re-installed (None: not yet known).
+        self._last_plan[function_id] = (plan, invocation_minute, uniform)
 
     def clear(self, function_id: int, minute: int) -> None:
         """Remove any keep-alive decision for one minute."""
@@ -290,14 +331,16 @@ class KeepAliveSchedule:
         quantity the peak-flattening loop iterates on.
 
         Entries can only exist within one keep-alive window of the most
-        recent write, so the walk covers ``from_minute .. from_minute + K``
+        recent write, and never past the function's planned-minute bound,
+        so the walk covers ``from_minute .. min(from_minute + K, bound)``
         — O(K) regardless of how many stale past entries remain.
         """
         self._check_fid(function_id)
         self._last_plan[function_id] = None
         entries = self._entries[function_id]
         freed_now = 0.0
-        for m in range(from_minute, from_minute + self.keep_alive_window + 1):
+        stop = min(from_minute + self.keep_alive_window, self._hi[function_id])
+        for m in range(from_minute, stop + 1):
             old = entries.get(m)
             if old is None:
                 continue
@@ -318,25 +361,45 @@ class KeepAliveSchedule:
         return freed_now
 
     def advance(self, minute: int) -> None:
-        """Forget entries strictly before ``minute`` (bounds memory use)."""
+        """Forget every entry in ``[frontier, minute)`` (bounds memory use).
+
+        Each function's entry map drops its minutes there, and the ledger
+        clears those minutes wholesale: once no function holds an entry
+        at a minute its counts are empty, so no per-entry count update is
+        needed. The cost is one visit per function plus one per forgotten
+        entry and minute, so an engine that reads no minute before
+        ``minute`` again may call it as seldom as it likes.
+        """
         start = self._frontier
         if minute <= start:
             return
         self._frontier = minute
-        span = minute - start
-        for entries in self._entries:
+        hi = self._hi
+        for function_id, entries in enumerate(self._entries):
             if not entries:
                 continue
-            if span <= 4 * len(entries):
-                for m in range(start, minute):
-                    old = entries.pop(m, None)
-                    if old is not None:
-                        self._remove(m, old.memory_mb)
+            stop = min(minute, hi[function_id] + 1)
+            if stop - start <= 4 * len(entries):
+                for m in range(start, stop):
+                    entries.pop(m, None)
             else:
                 # Huge jump (e.g. advance(10**9) from a cold schedule):
                 # scanning the few live entries beats walking the range.
-                for m in [m for m in entries if m < minute]:
-                    self._remove(m, entries.pop(m).memory_mb)
+                for m in [m for m in entries if start <= m < stop]:
+                    del entries[m]
+        stop = min(minute, len(self._mem))
+        counts = self._counts
+        mem = self._mem
+        for m in range(start, stop):
+            if counts[m]:
+                counts[m] = {}
+            mem[m] = 0.0
+        dirty = self._dirty
+        if dirty:
+            if stop - start < len(dirty):
+                dirty.difference_update(range(start, stop))
+            else:
+                dirty.difference_update([m for m in dirty if start <= m < stop])
 
     # -- reads --------------------------------------------------------------
     def alive_variant(self, function_id: int, minute: int) -> ModelVariant | None:

@@ -18,6 +18,7 @@ variant at predicted minutes.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +29,21 @@ from repro.utils.validation import check_fraction, check_positive_int
 __all__ = ["IceBreakerPolicy", "fft_extrapolate"]
 
 
+@lru_cache(maxsize=4)
+def _phase_table(n: int, horizon: int) -> np.ndarray:
+    """``exp(2πi·k·(n+j)/n)`` for rfft bin ``k`` and future step ``j``.
+
+    Built with the elementwise expression the per-harmonic evaluation
+    used, so every row is bit-identical to evaluating that harmonic on
+    its own. Read-only: callers share the cached array.
+    """
+    k = np.arange(n // 2 + 1)[:, None]
+    future = np.arange(n, n + horizon)
+    table = np.exp((2j * np.pi * k) * future / n)
+    table.setflags(write=False)
+    return table
+
+
 def fft_extrapolate(signal: np.ndarray, horizon: int, top_k: int) -> np.ndarray:
     """Extrapolate ``signal`` by ``horizon`` steps with its ``top_k``
     dominant harmonics.
@@ -35,6 +51,14 @@ def fft_extrapolate(signal: np.ndarray, horizon: int, top_k: int) -> np.ndarray:
     Returns the predicted values for steps ``len(signal) .. len(signal) +
     horizon - 1``. The DC component is always kept (it carries the base
     rate); the remaining k-1 slots go to the largest-magnitude harmonics.
+
+    The harmonics are evaluated from a cached phase table (one per
+    ``(len(signal), horizon)``), so a call costs a gather and a multiply
+    instead of one complex ``exp`` over the horizon per kept harmonic.
+    Their contributions are added row by row in ascending bin order: a
+    reduction (``sum(axis=0)``) would sum a one-step horizon pairwise and
+    can differ in the last ulp from the per-harmonic accumulation the
+    forecasts were defined with.
     """
     x = np.asarray(signal, dtype=float)
     n = x.size
@@ -51,16 +75,21 @@ def fft_extrapolate(signal: np.ndarray, horizon: int, top_k: int) -> np.ndarray:
     if top_k > 1 and spectrum.size > 1:
         order = np.argsort(-magnitude[1:]) + 1
         keep[order[: top_k - 1]] = True
-    future = np.arange(n, n + horizon)
-    # Evaluate the kept harmonics at future indices. rfft bin k has
-    # frequency k/n; a real signal's reconstruction doubles every bin
-    # except DC and (for even n) Nyquist.
+    # rfft bin k has frequency k/n; a real signal's reconstruction
+    # doubles every bin except DC and (for even n) Nyquist.
     freqs = np.flatnonzero(keep)
+    weight = np.full(freqs.size, 2.0)
+    weight[0] = 1.0
+    if n % 2 == 0 and freqs[-1] == n // 2:
+        weight[-1] = 1.0
+    rows = (
+        weight[:, None]
+        * np.real(spectrum[freqs, None] * _phase_table(n, horizon)[freqs])
+        / n
+    )
     pred = np.zeros(horizon)
-    for k in freqs:
-        coef = spectrum[k]
-        weight = 1.0 if (k == 0 or (n % 2 == 0 and k == n // 2)) else 2.0
-        pred += weight * np.real(coef * np.exp(2j * np.pi * k * future / n)) / n
+    for row in rows:
+        pred += row
     return pred
 
 
@@ -109,9 +138,8 @@ class IceBreakerPolicy(KeepAlivePolicy):
         minutes ending at ``minute`` (inclusive)."""
         x = np.zeros(self.history_window)
         start = minute - self.history_window + 1
-        for m in self._arrivals[function_id]:
-            if m >= start:
-                x[m - start] = 1.0
+        at = np.fromiter(self._arrivals[function_id], dtype=np.int64) - start
+        x[at[at >= 0]] = 1.0
         return x
 
     def predicted_minutes(self, function_id: int, minute: int) -> list[int]:
@@ -123,16 +151,15 @@ class IceBreakerPolicy(KeepAlivePolicy):
             return list(range(1, min(self.learning_window, self.keep_alive_window) + 1))
         x = self._signal(function_id, minute)
         pred = fft_extrapolate(x, self.keep_alive_window, self.top_k)
-        return [d + 1 for d in range(self.keep_alive_window) if pred[d] >= self.threshold]
+        return (np.flatnonzero(pred >= self.threshold) + 1).tolist()
 
     # -- engine interface ---------------------------------------------------
     def cold_variant(self, function_id: int, minute: int) -> ModelVariant:
         return self.family(function_id).highest
 
     def plan(self, function_id: int, minute: int) -> list[ModelVariant | None]:
-        keep = set(self.predicted_minutes(function_id, minute))
         highest = self.family(function_id).highest
-        return [
-            highest if d in keep else None
-            for d in range(1, self.keep_alive_window + 1)
-        ]
+        plan: list[ModelVariant | None] = [None] * self.keep_alive_window
+        for d in self.predicted_minutes(function_id, minute):
+            plan[d - 1] = highest
+        return plan

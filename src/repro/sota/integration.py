@@ -83,14 +83,12 @@ class PulseIntegratedPolicy(KeepAlivePolicy):
     def plan(self, function_id: int, minute: int) -> list[ModelVariant | None]:
         base_plan = self.base.plan(function_id, minute)
         pulse_plan = self.pulse.plan(function_id, minute)
-        combined: list[ModelVariant | None] = []
-        for d in range(len(base_plan)):
-            if base_plan[d] is None:
-                combined.append(None)  # base predicts no invocation there
-            elif d < len(pulse_plan):
-                combined.append(pulse_plan[d])  # PULSE picks the variant
-            else:
-                combined.append(None)  # beyond PULSE's keep-alive period
+        # PULSE picks the variant where the base predicts an invocation;
+        # beyond PULSE's keep-alive period the plan is released.
+        combined: list[ModelVariant | None] = [
+            None if b is None else p for b, p in zip(base_plan, pulse_plan)
+        ]
+        combined += [None] * (len(base_plan) - len(combined))
         return combined
 
     def review_minute(self, minute: int, schedule: KeepAliveSchedule) -> None:

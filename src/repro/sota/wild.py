@@ -109,12 +109,13 @@ class WildPolicy(KeepAlivePolicy):
         s.last_arrival = minute
 
     # -- prediction -----------------------------------------------------------
-    def _percentile_bin(self, counts: np.ndarray, q: float) -> int:
-        """Idle-time value at percentile ``q`` of the binned distribution."""
-        total = counts.sum()
+    @staticmethod
+    def _percentile_bins(counts: np.ndarray, *qs: float) -> list[int]:
+        """Idle-time values at percentiles ``qs`` of the binned
+        distribution, from one cumulative sum."""
         cdf = np.cumsum(counts)
-        rank = q / 100.0 * total
-        return int(np.searchsorted(cdf, rank, side="left")) + 1
+        ranks = np.array(qs) / 100.0 * cdf[-1]
+        return (np.searchsorted(cdf, ranks, side="left") + 1).tolist()
 
     def predicted_window(self, function_id: int, minute: int) -> tuple[int, int]:
         """(pre-warm offset, keep-alive end offset) after an invocation.
@@ -135,8 +136,9 @@ class WildPolicy(KeepAlivePolicy):
             start = int(max(1.0, np.floor(pred * (1.0 - self.margin))))
             end = int(np.ceil(pred * (1.0 + self.margin)))
             return min(start, cap), min(max(end, start), cap)
-        head = self._percentile_bin(s.counts, self.head_percentile)
-        tail = self._percentile_bin(s.counts, self.tail_percentile)
+        head, tail = self._percentile_bins(
+            s.counts, self.head_percentile, self.tail_percentile
+        )
         start = int(max(1.0, np.floor(head * (1.0 - self.margin))))
         end = int(np.ceil(tail * (1.0 + self.margin)))
         return min(start, cap), min(max(end, start), cap)
@@ -148,7 +150,8 @@ class WildPolicy(KeepAlivePolicy):
     def plan(self, function_id: int, minute: int) -> list[ModelVariant | None]:
         start, end = self.predicted_window(function_id, minute)
         highest = self.family(function_id).highest
-        return [
-            highest if start <= d <= end else None
-            for d in range(1, self.keep_alive_window + 1)
-        ]
+        return (
+            [None] * (start - 1)
+            + [highest] * (end - start + 1)
+            + [None] * (self.keep_alive_window - end)
+        )

@@ -233,3 +233,35 @@ def test_memory_vector_matches_per_minute_reads(ops):
     for m in range(len(vec)):
         assert vec[m] == schedule.memory_at(m)
     assert sliced == list(vec[:_HORIZON])
+
+
+# -- bounded entry maps ----------------------------------------------------
+
+
+@pytest.mark.parametrize("policy", ["pulse", "wild+pulse"])
+def test_fast_session_forgets_past_entries(policy):
+    """The fast engine forgets past entries once per keep-alive window:
+    over three simulated days no entry map holds more than two windows
+    (one planned ahead, at most one behind), and the session's result
+    still matches the batch run bit for bit."""
+    from repro.api import simulate
+    from repro.experiments.assignments import sample_assignment
+    from repro.serve.session import open_session
+    from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
+
+    trace = generate_trace(SyntheticTraceConfig(horizon_minutes=3 * 1440, seed=7))
+    assignment = sample_assignment(trace.n_functions, seed=3)
+    session = open_session(
+        trace, policy=policy, assignment=assignment, engine="fast"
+    )
+    schedule = session.stepper.schedule
+    window = schedule.keep_alive_window
+    peak = 0
+    for _ in range(trace.horizon):
+        session.advance()
+        peak = max(peak, max(len(e) for e in schedule._entries))
+    assert peak <= 2 * (window + 1)
+    # Forgotten minutes leave the ledger's dirty set too.
+    assert len(schedule._dirty) <= 2 * (window + 1)
+    batch = simulate(trace, assignment=assignment, policy=policy, engine="fast")
+    assert_identical(batch, session.result())

@@ -44,6 +44,71 @@ class TestFftExtrapolate:
             fft_extrapolate(np.ones(8), 5, 0)
 
 
+def per_harmonic_extrapolate(signal, horizon, top_k):
+    """The forecast as first defined: one complex ``exp`` over the
+    horizon per kept harmonic, accumulated in ascending bin order."""
+    x = np.asarray(signal, dtype=float)
+    n = x.size
+    spectrum = np.fft.rfft(x)
+    magnitude = np.abs(spectrum)
+    keep = np.zeros(spectrum.size, dtype=bool)
+    keep[0] = True
+    if top_k > 1 and spectrum.size > 1:
+        order = np.argsort(-magnitude[1:]) + 1
+        keep[order[: top_k - 1]] = True
+    future = np.arange(n, n + horizon)
+    pred = np.zeros(horizon)
+    for k in np.flatnonzero(keep):
+        coef = spectrum[k]
+        weight = 1.0 if (k == 0 or (n % 2 == 0 and k == n // 2)) else 2.0
+        pred += weight * np.real(coef * np.exp(2j * np.pi * k * future / n)) / n
+    return pred
+
+
+class TestPhaseTableBitIdentity:
+    """The cached phase table must reproduce the per-harmonic forecast to
+    the last bit: plans threshold it, so one ulp can move a warm start."""
+
+    @pytest.mark.parametrize(
+        "n, horizon, top_k",
+        [
+            (1, 1, 1),  # a single sample: DC only
+            (1, 240, 16),
+            (2, 1, 5),  # even n, Nyquist kept
+            (3, 7, 2),
+            (256, 1, 16),  # one-step horizon: where a reduction would differ
+            (256, 240, 16),  # the policy's shape at paper scale
+            (255, 240, 16),  # odd n: no Nyquist bin
+            (64, 10, 100),  # top_k above the bin count
+        ],
+    )
+    def test_edge_shapes(self, n, horizon, top_k):
+        rng = np.random.default_rng(n * 1000 + horizon)
+        for x in (
+            (rng.random(n) < 0.3).astype(float),
+            rng.normal(size=n),
+        ):
+            assert np.array_equal(
+                fft_extrapolate(x, horizon, top_k),
+                per_harmonic_extrapolate(x, horizon, top_k),
+            )
+
+    def test_random_shapes(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(400):
+            n = int(rng.integers(1, 300))
+            horizon = int(rng.choice([1, 2, int(rng.integers(1, 260))]))
+            top_k = int(rng.integers(1, 40))
+            if rng.random() < 0.5:
+                x = (rng.random(n) < 0.3).astype(float)
+            else:
+                x = rng.integers(0, 5, n).astype(float)
+            assert np.array_equal(
+                fft_extrapolate(x, horizon, top_k),
+                per_harmonic_extrapolate(x, horizon, top_k),
+            ), (n, horizon, top_k)
+
+
 class TestIceBreakerPolicy:
     def test_learning_phase_fixed_window(self, gpt):
         trace = one_function_trace(np.zeros(600, dtype=np.int64))

@@ -22,23 +22,23 @@ class TestPercentileBin:
         p = bound_policy(gpt)
         counts = np.zeros(240, dtype=np.int64)
         counts[19] = 10  # all idle times equal 20 minutes
-        assert p._percentile_bin(counts, 5) == 20
-        assert p._percentile_bin(counts, 99) == 20
+        assert p._percentile_bins(counts, 5) == [20]
+        assert p._percentile_bins(counts, 99) == [20]
 
     def test_two_modes(self, gpt):
         p = bound_policy(gpt)
         counts = np.zeros(240, dtype=np.int64)
         counts[4] = 50  # idle time 5
         counts[59] = 50  # idle time 60
-        assert p._percentile_bin(counts, 5) == 5
-        assert p._percentile_bin(counts, 99) == 60
-        assert p._percentile_bin(counts, 50) == 5
+        assert p._percentile_bins(counts, 5) == [5]
+        assert p._percentile_bins(counts, 99) == [60]
+        assert p._percentile_bins(counts, 50) == [5]
 
     def test_uniform_distribution(self, gpt):
         p = bound_policy(gpt)
         counts = np.ones(100, dtype=np.int64)
-        assert p._percentile_bin(counts, 50) == 50
-        assert p._percentile_bin(counts, 99) == 99
+        assert p._percentile_bins(counts, 50) == [50]
+        assert p._percentile_bins(counts, 99) == [99]
 
 
 class TestStateTracking:
